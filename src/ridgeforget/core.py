@@ -1,19 +1,22 @@
 """Closed-form ridge classifier with exact recursive learning and removal.
 
 The model is the minimizer of   sum_j ||y_j - f_j W||^2 + gamma ||W||^2
-over the currently retained rows.  Alongside the weight matrix W we keep a
-tracking matrix T, the inverse of the regularized Gram matrix of the
-retained features.  T is the only statistic needed to add or remove a batch
-of rows without ever touching the rest of the data:
+over the retained rows, kept as W plus the tracking matrix T, the inverse
+of the regularized Gram of the retained features.  Adding (s = -1) or
+removing (s = +1) rows F with labels Y is one signed recursion (Golub &
+Van Loan, Matrix Computations, sec. 6.5):
 
-  add    (F, Y):  T' = T - T F^T (I + F T F^T)^(-1) F T
-                  W' = W - T' F^T (F W - Y)
-  remove (F, Y):  T' = T + T F^T (I - F T F^T)^(-1) F T
-                  W' = (I + T' F^T F) W - T' F^T Y
+  I - s F T F^T = L L^T   (Cholesky)      G  = L^(-1) F T   (TRSM)
+  T' = T + s G^T G        (SYRK)          W' = W + s T' F^T (F W - Y)
 
-Both recursions reproduce the joint closed-form fit on the surviving rows
-to numerical precision.  All arithmetic is float64; T is re-symmetrized
-after every update to bound drift over long request streams.
+With at least as many rows as columns the smaller d x d dual form runs:
+T = K K^T, I - s K^T F^T F K = R R^T, T' = M M^T with M = K R^(-T).  SYRK
+fills one triangle, mirrored onto the other, so T' is exactly symmetric.
+A removal core that fails Cholesky, or whose condition estimate exceeds
+COND_LIMIT, means the rows were not in the tracked Gram.  T' and W' equal
+the joint fit on the survivors to float64 precision.  Validation runs once,
+at trust boundaries: FeatureBatch and the public TrackingMatrix constructor
+(also used by state loading); update outputs keep shape and finiteness.
 """
 
 from __future__ import annotations
@@ -22,20 +25,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgWarning,
-    cho_factor,
-    cho_solve,
-    get_lapack_funcs,
-    lu_factor,
-    lu_solve,
-)
+from scipy.linalg import LinAlgWarning, blas, lapack, lu_factor, lu_solve
 
 from .errors import (
-    ContractViolation,
-    InputError,
-    SingularityError,
-    StateIntegrityError,
+    ContractViolation, InputError, SingularityError, StateIntegrityError,
     UnlearnabilityError,
 )
 
@@ -49,6 +42,10 @@ DEFAULT_GAMMA = 1e-3
 
 # Allowed relative asymmetry of a tracking matrix.
 SYMMETRY_RTOL = 1e-10
+
+# Side of the tiles in which a triangle is mirrored; a tile pair fits in L1.
+_MIRROR_TILE = 64
+_TILE_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -106,23 +103,33 @@ class TrackingMatrix:
     gamma: float
 
     def __post_init__(self):
-        matrix = _as_matrix(self.matrix, "tracking matrix")
+        if not (isinstance(self.gamma, (int, float)) and self.gamma > 0):
+            raise ContractViolation(f"gamma must be > 0, got {self.gamma!r}")
+        self._seal(_as_matrix(self.matrix, "tracking matrix"), float(self.gamma))
+        scale = max(float(np.linalg.norm(self.matrix)), 1e-300)
+        asym = float(np.linalg.norm(self.matrix - self.matrix.T)) / scale
+        if asym > SYMMETRY_RTOL:
+            raise ContractViolation(
+                f"tracking matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e}"
+            )
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, gamma: float) -> "TrackingMatrix":
+        """Wrap a kernel output, exactly symmetric by construction, without the
+        copy or the asymmetry norm; `matrix` is frozen in place, not copied."""
+        tracking = object.__new__(cls)
+        tracking._seal(matrix, gamma)
+        return tracking
+
+    def _seal(self, matrix: np.ndarray, gamma: float):
         if matrix.shape[0] != matrix.shape[1]:
             raise ContractViolation(
                 f"tracking matrix must be square, got {matrix.shape}"
             )
         if not np.isfinite(matrix).all():
             raise ContractViolation("tracking matrix must be finite")
-        scale = max(float(np.linalg.norm(matrix)), 1e-300)
-        asym = float(np.linalg.norm(matrix - matrix.T)) / scale
-        if asym > SYMMETRY_RTOL:
-            raise ContractViolation(
-                f"tracking matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e}"
-            )
-        if not (isinstance(self.gamma, (int, float)) and self.gamma > 0):
-            raise ContractViolation(f"gamma must be > 0, got {self.gamma!r}")
         object.__setattr__(self, "matrix", _freeze(matrix))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def feature_dim(self) -> int:
@@ -143,8 +150,9 @@ class FeatureBatch:
     """A stack of (feature row, one-hot label row, sample id) triples.
 
     Empty batches (n = 0) are legal and act as identity inputs to every
-    update.  Ids must be distinct non-negative integers; each label row
-    must contain exactly one 1 with all other entries 0.
+    update.  Features must be finite; ids must be distinct non-negative
+    integers; each label row must contain exactly one 1 with all other
+    entries 0.
     """
 
     features: np.ndarray
@@ -162,6 +170,8 @@ class FeatureBatch:
                 f"ids {ids.shape[0]}"
             )
         if n > 0:
+            if not np.isfinite(features).all():
+                raise InputError("batch features contain non-finite values")
             is_binary = np.logical_or(labels == 0.0, labels == 1.0).all()
             if not is_binary or not ((labels == 1.0).sum(axis=1) == 1).all():
                 raise ContractViolation("each label row must be one-hot")
@@ -224,39 +234,80 @@ def _check_pair(tracking: TrackingMatrix, model: AnalyticModel):
         )
 
 
-def _symmetrized(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.T) / 2.0
-
-
-def _solve_guarded(
-    core: np.ndarray, rhs: np.ndarray, name: str, error_cls, scale_floor: float = 0.0
-):
-    """Solve core @ X = rhs via pivoted LU with a 1-norm condition estimate.
-
-    Raises error_cls naming `name` when the core is singular or its
-    condition estimate exceeds COND_LIMIT.  `scale_floor` anchors the
-    estimate: the removal core is I minus a PSD part, so its natural scale
-    is 1, and a core that cancelled down to ~eps must count as singular
-    even though its own relative conditioning can look perfect.
-    """
+def _solve_guarded(core: np.ndarray, rhs: np.ndarray, name: str):
+    """Solve core @ X = rhs via pivoted LU.  Raises SingularityError naming
+    `name` when its 1-norm condition estimate exceeds COND_LIMIT."""
     anorm = np.linalg.norm(core, 1)
     with warnings.catch_warnings():
         # conditioning is handled explicitly below
         warnings.simplefilter("ignore", LinAlgWarning)
         lu_piv = lu_factor(core, check_finite=False)
-    gecon = get_lapack_funcs("gecon", (core,))
-    rcond, info = gecon(lu_piv[0], anorm)
-    if info == 0 and np.isfinite(rcond) and rcond > 0 and anorm > 0:
-        inverse_norm = 1.0 / (rcond * anorm)
-        estimate = max(anorm, scale_floor) * inverse_norm
-    else:
-        estimate = np.inf
+    rcond, info = lapack.dgecon(lu_piv[0], anorm)
+    estimate = 1.0 / rcond if info == 0 and rcond > 0 and anorm > 0 else np.inf
     if estimate > COND_LIMIT:
-        raise error_cls(
+        raise SingularityError(
             f"{name} is singular or ill-conditioned "
             f"(condition estimate {estimate:.3e})"
         )
     return lu_solve(lu_piv, rhs, check_finite=False)
+
+
+def _mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Copy the strict lower triangle of square `a` onto the upper, in place."""
+    for i in range(0, len(a), _MIRROR_TILE):
+        k = min(i + _MIRROR_TILE, len(a))
+        diag = a[i:k, i:k]
+        np.copyto(diag, diag.T, where=_TILE_UPPER[: k - i, : k - i])
+        for j in range(k, len(a), _MIRROR_TILE):
+            a[i:k, j : j + _MIRROR_TILE] = a[j : j + _MIRROR_TILE, i:k].T
+    return a
+
+
+def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float) -> np.ndarray:
+    """rhs L^(-T) in place, with L L^T = I - s * part formed over the PSD
+    `part`.  The removal guard anchors the condition estimate at the core's
+    natural scale 1: a core that cancelled down to ~eps is singular even
+    though its own relative conditioning can look perfect."""
+    part *= -s
+    part.flat[:: part.shape[0] + 1] += 1.0
+    anorm = np.linalg.norm(part, 1)
+    factor, info = lapack.dpotrf(part.T, lower=1, clean=0, overwrite_a=1)
+    if s < 0 and info != 0:
+        # I plus a PSD matrix (and PD T) cannot fail for valid state.
+        raise StateIntegrityError(f"learn core failed to factorize (info {info})")
+    if s > 0:
+        rcond = lapack.dpocon(factor, anorm, uplo="L")[0] if info == 0 else 0.0
+        estimate = max(anorm, 1.0) / (rcond * anorm) if rcond > 0 else np.inf
+        if estimate > COND_LIMIT:
+            raise UnlearnabilityError(
+                "removal core is singular or ill-conditioned "
+                f"(condition estimate {estimate:.3e})"
+            )
+    return blas.dtrsm(1.0, factor, rhs, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+
+def _rank_update(tracking: TrackingMatrix, f: np.ndarray, s: float) -> TrackingMatrix:
+    """T' = (T^(-1) - s F^T F)^(-1), writing no input.  BLAS sees Fortran
+    order: T and the mirrored T' are symmetric, so either view is the same."""
+    t = tracking.matrix
+    if f.shape[0] < f.shape[1]:
+        f_t = f @ t
+        g_t = _core_solve(f_t @ f.T, f_t.T, s)  # G^T = (F T)^T L^(-T)
+        new_t = blas.dsyrk(s, g_t, beta=1.0, c=t.T.copy("F"), lower=1, overwrite_c=1)
+    else:  # the d x d system is smaller, and T' = M M^T subtracts nothing
+        chol, info = lapack.dpotrf(t.T, lower=1, clean=1)
+        if info != 0:
+            raise StateIntegrityError("tracking matrix is not positive definite")
+        f_chol = f @ chol
+        new_t = blas.dsyrk(1.0, _core_solve(f_chol.T @ f_chol, chol, s), lower=1)
+    return TrackingMatrix._trusted(_mirror_lower(new_t).T, tracking.gamma)
+
+
+def _weight_step(model: AnalyticModel, t: np.ndarray, batch: FeatureBatch, s: float):
+    """W' = W + s T' F^T (F W - Y) for the updated T' = t, one pass over it."""
+    f = batch.features
+    step = t @ (f.T @ (f @ model.weights - batch.labels))
+    return AnalyticModel(model.weights + s * step, model.gamma)
 
 
 def objective_value(model: AnalyticModel, batch: FeatureBatch) -> float:
@@ -277,14 +328,17 @@ def joint_fit(batch: FeatureBatch, gamma: float):
     """
     if not gamma > 0:
         raise ContractViolation(f"gamma must be > 0, got {gamma!r}")
-    if not np.isfinite(batch.features).all():
-        raise InputError("batch features contain non-finite values")
-    d_f = batch.feature_dim
-    gram = batch.features.T @ batch.features + gamma * np.eye(d_f)
-    factor = cho_factor(gram, check_finite=False)
-    tracking = _symmetrized(cho_solve(factor, np.eye(d_f), check_finite=False))
-    weights = cho_solve(factor, batch.features.T @ batch.labels, check_finite=False)
-    return AnalyticModel(weights, gamma), TrackingMatrix(tracking, gamma)
+    gram = blas.dsyrk(1.0, batch.features.T, lower=1)
+    gram.flat[:: batch.feature_dim + 1] += gamma
+    factor, info = lapack.dpotrf(gram, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise SingularityError(f"regularized Gram failed to factorize (info {info})")
+    weights, _ = lapack.dpotrs(factor, batch.features.T @ batch.labels, lower=1)
+    inv_factor, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
+    # T = L^(-T) L^(-1) by SYRK; dpotri's dlauum stalls for ms at small d
+    inverse = blas.dsyrk(1.0, inv_factor, trans=1, lower=1)
+    tracking = TrackingMatrix._trusted(_mirror_lower(inverse).T, float(gamma))
+    return AnalyticModel(weights, gamma), tracking
 
 
 def woodbury_update(
@@ -296,112 +350,56 @@ def woodbury_update(
     m x m inner system is factorized and condition-checked; a singular or
     ill-conditioned sub-matrix raises SingularityError naming it.
     """
-    a_inv = np.asarray(a_inv, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d_mat = np.asarray(d_mat, dtype=np.float64)
-    d = a_inv.shape[0]
-    m = c.shape[0]
+    a_inv, b, c, d_mat = (np.asarray(x, dtype=np.float64) for x in (a_inv, b, c, d_mat))
+    d, m = a_inv.shape[0], c.shape[0]
     if a_inv.shape != (d, d) or c.shape != (m, m):
         raise ContractViolation("A^(-1) and C must be square")
     if b.shape != (d, m) or d_mat.shape != (m, d):
         raise ContractViolation(
             f"B must be {d}x{m} and D {m}x{d}, got {b.shape} and {d_mat.shape}"
         )
-    c_inv = _solve_guarded(c, np.eye(m), "C", SingularityError)
+    c_inv = _solve_guarded(c, np.eye(m), "C")
     a_inv_b = a_inv @ b
     core = c_inv + d_mat @ a_inv_b
-    correction = a_inv_b @ _solve_guarded(
-        core, d_mat @ a_inv, "core (C^-1 + D A^-1 B)", SingularityError
-    )
+    correction = a_inv_b @ _solve_guarded(core, d_mat @ a_inv, "core (C^-1 + D A^-1 B)")
     return a_inv - correction
 
 
 def learn_update(tracking: TrackingMatrix, model: AnalyticModel, batch: FeatureBatch):
-    """Absorb a batch of new rows into (tracking, model).
-
-    T' = T - T F^T (I + F T F^T)^(-1) F T
-    W' = W - T' F^T (F W - Y)
-
-    and (T', W') equal the joint fit over everything learned so far.  An
-    empty batch is the identity.  Callers must guarantee the batch ids were
-    never learned before (the harness ledger enforces this).
-    """
+    """Absorb a batch of new rows into (tracking, model), after which they
+    equal the joint fit over everything learned so far.  An empty batch is
+    the identity.  Callers must guarantee the batch ids were never learned
+    before (the harness ledger enforces this)."""
     _check_pair(tracking, model)
     _check_batch_dims(batch, model.feature_dim, model.class_count)
     if len(batch) == 0:
         return tracking, model
-    f = batch.features
-    try:
-        if len(batch) >= model.feature_dim:
-            # Dual form of the same update, T' = L (I + L^T F^T F L)^(-1) L^T
-            # with T = L L^T.  The core is a sum of PSD terms, so tall
-            # batches avoid the cancellation the n x n form suffers when T
-            # is still close to its (gamma I)^(-1) start; it is also the
-            # smaller system.
-            chol = np.linalg.cholesky(tracking.matrix)
-            core = np.eye(model.feature_dim) + chol.T @ (f.T @ f) @ chol
-            factor = cho_factor(core, check_finite=False)
-            new_t = _symmetrized(chol @ cho_solve(factor, chol.T, check_finite=False))
-        else:
-            t_ft = tracking.matrix @ f.T
-            core = np.eye(len(batch)) + f @ t_ft
-            factor = cho_factor(core, check_finite=False)
-            new_t = _symmetrized(
-                tracking.matrix
-                - t_ft @ cho_solve(factor, t_ft.T, check_finite=False)
-            )
-    except np.linalg.LinAlgError as exc:
-        # I plus a PSD matrix (and PD T) cannot fail for valid state.
-        raise StateIntegrityError(
-            f"learn core failed to factorize: {exc}"
-        ) from exc
-    new_tracking = TrackingMatrix(new_t, tracking.gamma)
-    new_w = model.weights - new_t @ f.T @ (f @ model.weights - batch.labels)
-    return new_tracking, AnalyticModel(new_w, model.gamma)
+    new_tracking = _rank_update(tracking, batch.features, -1.0)
+    return new_tracking, _weight_step(model, new_tracking.matrix, batch, -1.0)
 
 
 def unlearn_tracking(tracking: TrackingMatrix, forget: FeatureBatch) -> TrackingMatrix:
-    """Remove a batch of previously learned rows from the tracking matrix.
-
-    T' = T + T F^T (I - F T F^T)^(-1) F T, which equals the inverse of the
-    regularized Gram over the surviving rows.  An empty batch is the
-    identity.  A singular or ill-conditioned removal core means the rows
-    were not in the tracked Gram (or cancellation won); nothing is mutated
-    in that case.
-    """
+    """Remove previously learned rows: T' is the inverse of the regularized
+    Gram over the survivors.  An empty batch is the identity.  A singular or
+    ill-conditioned removal core raises UnlearnabilityError, mutating nothing."""
     _check_batch_dims(forget, tracking.feature_dim)
     if len(forget) == 0:
         return tracking
-    f = forget.features
-    t_ft = tracking.matrix @ f.T
-    core = np.eye(len(forget)) - f @ t_ft
-    solved = _solve_guarded(
-        core, t_ft.T, "removal core (I - F T F^T)", UnlearnabilityError,
-        scale_floor=1.0,
-    )
-    new_t = _symmetrized(tracking.matrix + t_ft @ solved)
-    return TrackingMatrix(new_t, tracking.gamma)
+    return _rank_update(tracking, forget.features, 1.0)
 
 
 def unlearn_model(
     model: AnalyticModel, tracking_after: TrackingMatrix, forget: FeatureBatch
 ) -> AnalyticModel:
-    """Remove a batch's influence from the weights.
-
-    W' = (I + T' F^T F) W - T' F^T Y, with T' the tracking matrix ALREADY
-    updated for this forget batch.  The first term amplifies what the
-    surviving rows contributed; the second subtracts what the forgotten
-    rows contributed.  W' equals the joint fit on the surviving rows.
+    """Remove a batch's influence from the weights: W' = W + T' F^T (F W - Y)
+    with T' the tracking matrix ALREADY updated for this forget batch.  W'
+    equals the joint fit on the surviving rows.
     """
     _check_pair(tracking_after, model)
     _check_batch_dims(forget, model.feature_dim, model.class_count)
     if len(forget) == 0:
         return model
-    f = forget.features
-    amplified = model.weights + tracking_after.matrix @ (f.T @ (f @ model.weights))
-    removed = tracking_after.matrix @ (f.T @ forget.labels)
-    return AnalyticModel(amplified - removed, model.gamma)
+    return _weight_step(model, tracking_after.matrix, forget, 1.0)
 
 
 def predict(model: AnalyticModel, features: np.ndarray):

@@ -15,6 +15,7 @@ from ridgeforget import (
     FeatureBatch,
     InputError,
     SingularityError,
+    StateIntegrityError,
     TrackingMatrix,
     UnlearnabilityError,
     joint_fit,
@@ -131,9 +132,11 @@ def test_joint_fit_rejects_bad_gamma_and_nonfinite():
         joint_fit(batch, 0.0)
     feats = np.ones((1, 2))
     feats[0, 0] = np.inf
-    bad = FeatureBatch(feats, [[1.0, 0.0]], [0])
     with pytest.raises(InputError):
-        joint_fit(bad, 1.0)
+        FeatureBatch(feats, [[1.0, 0.0]], [0])
+    feats[0, 0] = np.nan
+    with pytest.raises(InputError):
+        FeatureBatch(feats, [[1.0, 0.0]], [0])
 
 
 def test_joint_fit_is_the_minimizer_by_finite_differences():
@@ -249,6 +252,17 @@ def test_sequential_learning_matches_joint_fit():
     assert rel_fro(model.weights, want_model.weights) <= 1e-9
 
 
+@pytest.mark.parametrize("rows", [1, 3])  # below and at feature_dim 3
+def test_learn_on_indefinite_tracking_raises_state_integrity(rows):
+    # symmetric and finite, so the public constructor accepts it, but no
+    # retained set has a negative definite tracking matrix
+    tracking = TrackingMatrix(-np.eye(3), 1.0)
+    model = AnalyticModel(np.zeros((3, 2)), 1.0)
+    batch = rand_batch(np.random.default_rng(73), rows, 3, 2)
+    with pytest.raises(StateIntegrityError):
+        learn_update(tracking, model, batch)
+
+
 def test_learn_rejects_gamma_mismatch():
     model, _ = joint_fit(rand_batch(np.random.default_rng(0), 5, 3, 2), 1.0)
     tracking = TrackingMatrix.fresh(3, 2.0)
@@ -292,6 +306,74 @@ def test_unlearn_singular_core_raises_without_mutation():
     with pytest.raises(UnlearnabilityError, match="removal core"):
         unlearn_tracking(tracking, poisoned)
     assert np.array_equal(tracking.matrix, before)
+
+
+def test_unlearn_tall_batch_matches_dense_inverse_of_survivors():
+    # m >= d takes the d x d dual form of the removal
+    rng = np.random.default_rng(61)
+    batch = rand_batch(rng, 60, 5, 3)
+    model, tracking = joint_fit(batch, 0.4)
+    picked = rng.choice(60, size=12, replace=False)
+    forget = batch.permuted(picked)
+    keep = np.setdiff1d(np.arange(60), picked)
+    updated = unlearn_tracking(tracking, forget)
+    after = unlearn_model(model, updated, forget)
+    features, labels = batch.features[keep], batch.labels[keep]
+    assert rel_fro(updated.matrix, gram_inverse_oracle(features, 0.4)) <= 1e-9
+    assert rel_fro(after.weights, solve_weights_oracle(features, labels, 0.4)) <= 1e-9
+
+
+def test_unlearn_tall_singular_core_raises_without_mutation():
+    # T = I / 2 after learning e1 and e2 with gamma 1; removing sqrt(2) e1
+    # also takes out gamma's share of that direction, so I - K^T F^T F K is
+    # singular
+    learned = FeatureBatch(np.eye(2), np.eye(2), [0, 1])
+    model, tracking = joint_fit(learned, 1.0)
+    before = tracking.matrix.copy()
+    poisoned = FeatureBatch([[np.sqrt(2.0), 0.0], [0.0, 1.0]], np.eye(2), [0, 1])
+    with pytest.raises(UnlearnabilityError, match="removal core"):
+        unlearn_tracking(tracking, poisoned)
+    assert np.array_equal(tracking.matrix, before)
+
+
+def test_unlearn_ill_conditioned_core_raises_through_condition_estimate():
+    batch = FeatureBatch([[1.0, 0.0]], [[1.0, 0.0]], [0])
+    _, tracking = joint_fit(batch, 1.0)
+    x = np.sqrt(2.0 * (1.0 - 1e-14))
+    # the 1 x 1 core 1 - x T x^T is positive, so Cholesky succeeds
+    core = 1.0 - x * x * tracking.matrix[0, 0]
+    assert 0.0 < core < 1e-12
+    before = tracking.matrix.copy()
+    nearly = FeatureBatch([[x, 0.0]], [[1.0, 0.0]], [0])
+    with pytest.raises(UnlearnabilityError, match="condition estimate"):
+        unlearn_tracking(tracking, nearly)
+    assert np.array_equal(tracking.matrix, before)
+
+
+@pytest.mark.parametrize("rows", [3, 12])  # below and above feature_dim 6
+def test_update_outputs_are_read_only_and_inputs_untouched(rows):
+    rng = np.random.default_rng(67)
+    base = rand_batch(rng, 40, 6, 3)
+    model, tracking = joint_fit(base, 0.5)
+    extra = rand_batch(rng, rows, 6, 3, id_start=100)
+    snapshot = (tracking.matrix.copy(), model.weights.copy())
+    grown_tracking, grown_model = learn_update(tracking, model, extra)
+    assert np.array_equal(tracking.matrix, snapshot[0])
+    assert np.array_equal(model.weights, snapshot[1])
+    grown = (grown_tracking.matrix.copy(), grown_model.weights.copy())
+    shrunk_tracking = unlearn_tracking(grown_tracking, extra)
+    shrunk_model = unlearn_model(grown_model, shrunk_tracking, extra)
+    assert np.array_equal(grown_tracking.matrix, grown[0])
+    assert np.array_equal(grown_model.weights, grown[1])
+    outputs = (
+        tracking.matrix, model.weights,
+        grown_tracking.matrix, grown_model.weights,
+        shrunk_tracking.matrix, shrunk_model.weights,
+    )
+    for array in outputs:
+        with pytest.raises(ValueError):
+            array[0, 0] = 99.0
+    assert np.array_equal(shrunk_tracking.matrix, shrunk_tracking.matrix.T)
 
 
 # ------------------------------------------------------------ unlearn_model
@@ -494,3 +576,35 @@ def test_tracking_stays_symmetric_and_pd_through_100_requests():
         asymmetry = np.abs(tracking.matrix - tracking.matrix.T).max()
         assert asymmetry <= 1e-10 * max(np.abs(tracking.matrix).max(), 1.0)
         assert np.linalg.eigvalsh(tracking.matrix).min() > 0
+
+
+def test_long_interleaved_stream_drift_stays_bounded():
+    # 2,000 alternating learn / forget requests of 1-12 rows at d = 6, so
+    # both the m x m and the d x d form run.  Measured over five seeds:
+    # T (Gram + gamma I) within 4e-14 of I, W within 4e-14 of a refit.
+    rng = np.random.default_rng(71)
+    d_f, d_c, gamma, steps = 6, 3, 0.1, 2000
+    pool = rand_batch(rng, 200 + 6 * steps, d_f, d_c)
+    retained = list(range(200))
+    model, tracking = joint_fit(pool.permuted(retained), gamma)
+    next_row = 200
+    for step in range(steps):
+        size = int(rng.integers(1, 2 * d_f + 1))
+        if step % 2 == 0:
+            rows = list(range(next_row, next_row + size))
+            next_row += size
+            tracking, model = learn_update(tracking, model, pool.permuted(rows))
+            retained += rows
+        else:
+            size = min(size, len(retained))
+            picked = set(rng.choice(retained, size=size, replace=False).tolist())
+            forget = pool.permuted(sorted(picked))
+            tracking = unlearn_tracking(tracking, forget)
+            model = unlearn_model(model, tracking, forget)
+            retained = [r for r in retained if r not in picked]
+    features = pool.features[retained]
+    gram = features.T @ features + gamma * np.eye(d_f)
+    assert np.abs(tracking.matrix @ gram - np.eye(d_f)).max() <= 1e-11
+    want = solve_weights_oracle(features, pool.labels[retained], gamma)
+    assert rel_fro(model.weights, want) <= 1e-11
+    assert np.array_equal(tracking.matrix, tracking.matrix.T)
