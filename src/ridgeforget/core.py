@@ -17,10 +17,13 @@ COND_LIMIT, means the rows were not in the tracked Gram.  T' and W' equal
 the joint fit on the survivors to float64 precision.  Validation runs once,
 at trust boundaries: FeatureBatch and the public TrackingMatrix constructor
 (also used by state loading); update outputs keep shape and finiteness.
+Importing this module sets the bundled OpenBLAS to one thread for the whole
+process; only joint_fit's Gram, Cholesky and inverse use the host's threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +49,51 @@ SYMMETRY_RTOL = 1e-10
 # Side of the tiles in which a triangle is mirrored; a tile pair fits in L1.
 _MIRROR_TILE = 64
 _TILE_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
+
+
+def _openblas_copies():
+    """(get_num_threads, set_num_threads) of every loaded scipy_openblas copy:
+    numpy's 64-bit-index copy serves `@`, scipy's own serves
+    scipy.linalg.blas and lapack.  Empty under any other BLAS build."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({
+                line.split()[-1] for line in handle
+                if "libscipy_openblas" in line and line.rstrip().endswith(".so")
+            })
+    except OSError:
+        return []
+    copies = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            if hasattr(lib, "scipy_openblas_get_num_threads" + suffix):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+                put.argtypes, put.restype = [ctypes.c_int], None
+                copies.append((get, put))
+                break
+    return copies
+
+
+# (get, set, import-time thread count) of each OpenBLAS copy.  Every kernel
+# runs on one thread except joint_fit's Gram, Cholesky and inverse: request
+# kernels are O(d^2 m) with m ~ 100, and waking the pool's other threads for
+# them cost more than it saved (on a 2-vCPU host, one thread halved the
+# d=1024 forget latency).
+_OPENBLAS = [(get, put, get()) for get, put in _openblas_copies()]
+
+
+def _use_host_blas_threads(host: bool):
+    """Set every OpenBLAS copy to its import-time count, or to 1.  Writes
+    fixed values and never restores a read one, so concurrent joint_fit
+    calls can at worst run one Gram on one thread, never leave a stale count."""
+    for _, put, count in _OPENBLAS:
+        put(count if host else 1)
+
+
+_use_host_blas_threads(False)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -328,15 +376,24 @@ def joint_fit(batch: FeatureBatch, gamma: float):
     """
     if not gamma > 0:
         raise ContractViolation(f"gamma must be > 0, got {gamma!r}")
-    gram = blas.dsyrk(1.0, batch.features.T, lower=1)
-    gram.flat[:: batch.feature_dim + 1] += gamma
-    factor, info = lapack.dpotrf(gram, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        raise SingularityError(f"regularized Gram failed to factorize (info {info})")
-    weights, _ = lapack.dpotrs(factor, batch.features.T @ batch.labels, lower=1)
-    inv_factor, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
-    # T = L^(-T) L^(-1) by SYRK; dpotri's dlauum stalls for ms at small d
-    inverse = blas.dsyrk(1.0, inv_factor, trans=1, lower=1)
+    # F^T Y on one thread: threaded, it averaged 7 ms against 0.6 at N=3000,
+    # d=64; scipy's dgemm takes 20 ms to numpy's 43 at N=10,000, d=1024
+    rhs = blas.dgemm(1.0, batch.features.T, batch.labels)
+    _use_host_blas_threads(True)
+    try:
+        gram = blas.dsyrk(1.0, batch.features.T, lower=1)
+        gram.flat[:: batch.feature_dim + 1] += gamma
+        factor, info = lapack.dpotrf(gram, lower=1, clean=1, overwrite_a=1)
+        if info != 0:
+            raise SingularityError(
+                f"regularized Gram failed to factorize (info {info})"
+            )
+        weights, _ = lapack.dpotrs(factor, rhs, lower=1)
+        inv_factor, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
+        # T = L^(-T) L^(-1) by SYRK; dpotri's dlauum stalls for ms at small d
+        inverse = blas.dsyrk(1.0, inv_factor, trans=1, lower=1)
+    finally:
+        _use_host_blas_threads(False)
     tracking = TrackingMatrix._trusted(_mirror_lower(inverse).T, float(gamma))
     return AnalyticModel(weights, gamma), tracking
 

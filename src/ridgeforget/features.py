@@ -230,6 +230,9 @@ class EncodedDataset:
             expected[np.arange(n), labels] = 1.0
             if not np.array_equal(one_hots, expected):
                 raise ContractViolation("one_hots must match label_indices exactly")
+        self._seal(ids, features, labels, one_hots)
+
+    def _seal(self, ids, features, labels, one_hots):
         for name, arr in (
             ("sample_ids", ids),
             ("features", features),
@@ -238,6 +241,15 @@ class EncodedDataset:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _trusted(cls, ids, features, labels, one_hots, class_count):
+        """Wrap fresh arrays holding rows of a validated dataset, frozen in
+        place: rows of a valid dataset are valid, so nothing is re-checked."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "class_count", class_count)
+        dataset._seal(ids, features, labels, one_hots)
+        return dataset
 
     @classmethod
     def from_features(cls, sample_ids, features, label_indices, class_count):
@@ -258,8 +270,13 @@ class EncodedDataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "EncodedDataset":
+        """Rows at `indices`, as fancy-indexed (fresh) read-only copies."""
         indices = np.asarray(indices, dtype=np.int64)
-        return EncodedDataset(
+        taken = np.zeros(len(self), dtype=bool)
+        taken[indices] = True
+        if np.count_nonzero(taken) != indices.size:
+            raise ContractViolation("sample ids must be unique")
+        return EncodedDataset._trusted(
             self.sample_ids[indices],
             self.features[indices],
             self.label_indices[indices],
@@ -270,15 +287,15 @@ class EncodedDataset:
     def subset_by_ids(self, ids) -> "EncodedDataset":
         """Rows whose id is in `ids`, in dataset order.  Unknown ids are a
         contract violation."""
-        wanted = set(int(i) for i in ids)
-        unknown = wanted - set(self.sample_ids.tolist())
-        if unknown:
+        wanted = np.fromiter(ids, dtype=np.int64)
+        unknown = wanted[~np.isin(wanted, self.sample_ids)]
+        if unknown.size:
+            unknown = np.unique(unknown)
             raise ContractViolation(
-                f"ids not present in dataset: {sorted(unknown)[:5]}"
-                + ("..." if len(unknown) > 5 else "")
+                f"ids not present in dataset: {unknown[:5].tolist()}"
+                + ("..." if unknown.size > 5 else "")
             )
-        mask = np.isin(self.sample_ids, np.fromiter(wanted, dtype=np.int64))
-        return self.subset(np.nonzero(mask)[0])
+        return self.subset(np.nonzero(np.isin(self.sample_ids, wanted))[0])
 
     def to_batch(self) -> FeatureBatch:
         return FeatureBatch(self.features, self.one_hots, self.sample_ids)

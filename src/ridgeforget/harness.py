@@ -396,7 +396,7 @@ def bench_scaling(
             unlearn_model(model, updated, forget)
             return time.perf_counter() - start
 
-        one_request()  # warm up BLAS threads before measuring
+        one_request()  # untimed: the first call pays cold caches
         times = np.array([one_request() for _ in range(repeats)])
         rows.append(
             BenchRow(

@@ -22,6 +22,11 @@ PARAMS_GAP_EPSILON = 1e-30
 GAP_CSV_HEADER = "request,delta_params,delta_retain,delta_forget,delta_test,delta_mia"
 
 
+def _id_set(sample_ids) -> set:
+    """Python-int id set of a list or array, built without a per-id int()."""
+    return set(np.asarray(sample_ids, dtype=np.int64).reshape(-1).tolist())
+
+
 @dataclass
 class SampleLedger:
     """Which sample ids have been learned and which forgotten.
@@ -45,7 +50,7 @@ class SampleLedger:
         return frozenset(self.learned_ids - self.forgotten_ids)
 
     def record_learn(self, sample_ids) -> None:
-        ids = set(int(i) for i in sample_ids)
+        ids = _id_set(sample_ids)
         overlap = ids & self.learned_ids
         if overlap:
             raise ContractViolation(
@@ -54,7 +59,7 @@ class SampleLedger:
         self.learned_ids |= ids
 
     def record_forget(self, sample_ids) -> None:
-        ids = set(int(i) for i in sample_ids)
+        ids = _id_set(sample_ids)
         never_learned = ids - self.learned_ids
         if never_learned:
             raise ContractViolation(
@@ -80,11 +85,11 @@ def oracle_retrain(
     This is the reference the gap metrics compare against; unlike the
     recursive updates it is allowed to touch retained data.
     """
-    known = set(dataset.sample_ids.tolist())
-    unknown = ledger.learned_ids - known
-    if unknown:
+    learned = np.fromiter(ledger.learned_ids, dtype=np.int64)
+    unknown = np.sort(learned[~np.isin(learned, dataset.sample_ids)])
+    if unknown.size:
         raise ContractViolation(
-            f"ledger references ids missing from dataset: {sorted(unknown)[:5]}"
+            f"ledger references ids missing from dataset: {unknown[:5].tolist()}"
         )
     retained = dataset.subset_by_ids(ledger.retained_ids)
     model, _ = joint_fit(retained.to_batch(), gamma)

@@ -26,6 +26,7 @@ from ridgeforget import (
     unlearn_tracking,
     woodbury_update,
 )
+from ridgeforget import core
 
 
 # ---------------------------------------------------------------- types
@@ -137,6 +138,33 @@ def test_joint_fit_rejects_bad_gamma_and_nonfinite():
     feats[0, 0] = np.nan
     with pytest.raises(InputError):
         FeatureBatch(feats, [[1.0, 0.0]], [0])
+
+
+def test_blas_runs_one_thread_outside_joint_fit(monkeypatch):
+    copies = core._OPENBLAS
+    if not copies:
+        pytest.skip("no bundled OpenBLAS copy is loaded")
+    assert [get() for get, _, _ in copies] == [1] * len(copies)
+    host = [count for _, _, count in copies]
+    seen = []
+    dsyrk = core.blas.dsyrk
+
+    def observed(*args, **kwargs):
+        seen.append([get() for get, _, _ in copies])
+        return dsyrk(*args, **kwargs)
+
+    monkeypatch.setattr(core.blas, "dsyrk", observed)
+    joint_fit(rand_batch(np.random.default_rng(5), 40, 6, 3), 0.5)
+    assert seen[0] == host  # the Gram
+    assert [get() for get, _, _ in copies] == [1] * len(copies)
+
+    def failing(*args, **kwargs):
+        raise MemoryError("Gram")
+
+    monkeypatch.setattr(core.blas, "dsyrk", failing)
+    with pytest.raises(MemoryError):
+        joint_fit(rand_batch(np.random.default_rng(5), 40, 6, 3), 0.5)
+    assert [get() for get, _, _ in copies] == [1] * len(copies)
 
 
 def test_joint_fit_is_the_minimizer_by_finite_differences():

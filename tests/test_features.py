@@ -201,10 +201,34 @@ def test_dataset_one_hot_rows_always_sum_to_one():
     assert np.array_equal(encoded.one_hots.sum(axis=1), np.ones(len(encoded)))
 
 
+def test_subset_is_read_only_and_equals_validated_construction():
+    spec = SyntheticSpec(4, 6, 3, 0.2, 8)
+    encoded = encode(FeatureExtractor.from_seed(1, 3, 5), generate_synthetic(spec))
+    rows = [17, 2, 9, 0]
+    subset = encoded.subset(rows)
+    checked = EncodedDataset(
+        encoded.sample_ids[rows],
+        encoded.features[rows],
+        encoded.label_indices[rows],
+        encoded.one_hots[rows],
+        encoded.class_count,
+    )
+    assert subset.class_count == checked.class_count
+    for name in ("sample_ids", "features", "label_indices", "one_hots"):
+        got, want = getattr(subset, name), getattr(checked, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, getattr(encoded, name))
+    with pytest.raises(ContractViolation):
+        encoded.subset([3, 3])
+
+
 def test_subset_by_ids_rejects_unknown():
     encoded = EncodedDataset.from_features([1, 2], np.zeros((2, 3)), [0, 1], 2)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=r"not present in dataset: \[5\]$"):
         encoded.subset_by_ids([1, 5])
+    with pytest.raises(ContractViolation, match=r": \[3, 4, 5, 6, 7\]\.\.\.$"):
+        encoded.subset_by_ids(range(2, 9))
 
 
 # -------------------------------------------------------------------- CSV

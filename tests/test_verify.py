@@ -52,6 +52,17 @@ def test_ledger_rejects_duplicate_learns():
     assert ledger.learned_ids == {1, 2}
 
 
+def test_ledger_records_numpy_array_ids():
+    ledger = SampleLedger()
+    ledger.record_learn(np.array([3, 1, 2], dtype=np.int64))
+    ledger.record_forget(np.array([1, 2]))
+    assert ledger.learned_ids == {1, 2, 3} and ledger.forgotten_ids == {1, 2}
+    assert all(type(i) is int for i in ledger.learned_ids | ledger.forgotten_ids)
+    with pytest.raises(ContractViolation, match="already forgotten"):
+        ledger.record_forget(np.array([2, 3]))
+    assert ledger.forgotten_ids == {1, 2}
+
+
 def test_ledger_requires_forgotten_subset_of_learned():
     with pytest.raises(ContractViolation):
         SampleLedger({1}, {1, 2})
@@ -94,8 +105,8 @@ def test_oracle_matches_independent_dense_solve():
 def test_oracle_rejects_unknown_ids():
     rng = np.random.default_rng(3)
     dataset = dataset_from_batch(rand_batch(rng, 5, 3, 2), 2)
-    with pytest.raises(ContractViolation):
-        oracle_retrain(dataset, SampleLedger({999}), 1.0)
+    with pytest.raises(ContractViolation, match=r"missing from dataset: \[998, 999\]$"):
+        oracle_retrain(dataset, SampleLedger({999, 998}), 1.0)
 
 
 # --------------------------------------------------------------- accuracy
