@@ -24,19 +24,18 @@ process; only joint_fit's Gram, Cholesky and inverse use the host's threads.
 from __future__ import annotations
 
 import ctypes
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, blas, lapack, lu_factor, lu_solve
+from scipy.linalg import blas, lapack
 
 from .errors import (
     ContractViolation, InputError, SingularityError, StateIntegrityError,
     UnlearnabilityError,
 )
 
-# Condition-estimate ceiling for the small cores (I +/- F T F^T) and the
-# Woodbury inner system.  Above this the solve is meaningless in float64.
+# Condition-estimate ceiling for the removal core I - F T F^T.  Above this
+# the solve is meaningless in float64.
 COND_LIMIT = 1e12
 
 # Default ridge strength; any positive value works, this one keeps the
@@ -282,24 +281,6 @@ def _check_pair(tracking: TrackingMatrix, model: AnalyticModel):
         )
 
 
-def _solve_guarded(core: np.ndarray, rhs: np.ndarray, name: str):
-    """Solve core @ X = rhs via pivoted LU.  Raises SingularityError naming
-    `name` when its 1-norm condition estimate exceeds COND_LIMIT."""
-    anorm = np.linalg.norm(core, 1)
-    with warnings.catch_warnings():
-        # conditioning is handled explicitly below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu_piv = lu_factor(core, check_finite=False)
-    rcond, info = lapack.dgecon(lu_piv[0], anorm)
-    estimate = 1.0 / rcond if info == 0 and rcond > 0 and anorm > 0 else np.inf
-    if estimate > COND_LIMIT:
-        raise SingularityError(
-            f"{name} is singular or ill-conditioned "
-            f"(condition estimate {estimate:.3e})"
-        )
-    return lu_solve(lu_piv, rhs, check_finite=False)
-
-
 def _mirror_lower(a: np.ndarray) -> np.ndarray:
     """Copy the strict lower triangle of square `a` onto the upper, in place."""
     for i in range(0, len(a), _MIRROR_TILE):
@@ -396,30 +377,6 @@ def joint_fit(batch: FeatureBatch, gamma: float):
         _use_host_blas_threads(False)
     tracking = TrackingMatrix._trusted(_mirror_lower(inverse).T, float(gamma))
     return AnalyticModel(weights, gamma), tracking
-
-
-def woodbury_update(
-    a_inv: np.ndarray, b: np.ndarray, c: np.ndarray, d_mat: np.ndarray
-) -> np.ndarray:
-    """(A + B C D)^(-1) from A^(-1), without ever forming A.
-
-    Computes A^(-1) - A^(-1) B (C^(-1) + D A^(-1) B)^(-1) D A^(-1).  The
-    m x m inner system is factorized and condition-checked; a singular or
-    ill-conditioned sub-matrix raises SingularityError naming it.
-    """
-    a_inv, b, c, d_mat = (np.asarray(x, dtype=np.float64) for x in (a_inv, b, c, d_mat))
-    d, m = a_inv.shape[0], c.shape[0]
-    if a_inv.shape != (d, d) or c.shape != (m, m):
-        raise ContractViolation("A^(-1) and C must be square")
-    if b.shape != (d, m) or d_mat.shape != (m, d):
-        raise ContractViolation(
-            f"B must be {d}x{m} and D {m}x{d}, got {b.shape} and {d_mat.shape}"
-        )
-    c_inv = _solve_guarded(c, np.eye(m), "C")
-    a_inv_b = a_inv @ b
-    core = c_inv + d_mat @ a_inv_b
-    correction = a_inv_b @ _solve_guarded(core, d_mat @ a_inv, "core (C^-1 + D A^-1 B)")
-    return a_inv - correction
 
 
 def learn_update(tracking: TrackingMatrix, model: AnalyticModel, batch: FeatureBatch):

@@ -20,6 +20,7 @@ from .core import (
     AnalyticModel,
     FeatureBatch,
     TrackingMatrix,
+    _check_pair,
     joint_fit,
     learn_update,
     unlearn_model,
@@ -71,32 +72,16 @@ class RequestStream:
                 )
         return dims
 
-    def validate(self, already_learned=frozenset()) -> None:
-        """Enforce stream invariants before any request executes."""
+    def validate(self, ledger: SampleLedger | None = None) -> None:
+        """Enforce stream invariants before any request executes: the ids
+        are replayed on a copy of `ledger`, so a resumed state's learned and
+        forgotten ids count too."""
         self.batch_dims()
-        learned = set(int(i) for i in already_learned)
+        replay = ledger.copy() if ledger is not None else SampleLedger()
         for batch in self.learn_requests:
-            ids = set(batch.sample_ids.tolist())
-            overlap = ids & learned
-            if overlap:
-                raise ContractViolation(
-                    f"learn batches repeat ids: {sorted(overlap)[:5]}"
-                )
-            learned |= ids
-        forgotten = set()
+            replay.record_learn(batch.sample_ids)
         for batch in self.forget_requests:
-            ids = set(batch.sample_ids.tolist())
-            overlap = ids & forgotten
-            if overlap:
-                raise ContractViolation(
-                    f"forget batches overlap: {sorted(overlap)[:5]}"
-                )
-            unlearned_ids = ids - learned
-            if unlearned_ids:
-                raise ContractViolation(
-                    f"forget ids never learned: {sorted(unlearned_ids)[:5]}"
-                )
-            forgotten |= ids
+            replay.record_forget(batch.sample_ids)
 
 
 @dataclass(frozen=True)
@@ -126,7 +111,6 @@ class RunRecord:
 @dataclass(frozen=True)
 class RunOptions:
     verify_every: int = 0
-    collect_timing: bool = True
 
 
 @dataclass
@@ -140,10 +124,7 @@ class EngineState:
     extractor: FeatureExtractor | None = None
 
     def __post_init__(self):
-        if self.model.gamma != self.tracking.gamma:
-            raise ContractViolation("model and tracking gamma must match")
-        if self.model.feature_dim != self.tracking.feature_dim:
-            raise ContractViolation("model and tracking dimensions must match")
+        _check_pair(self.tracking, self.model)
 
     @property
     def gamma(self) -> float:
@@ -292,7 +273,7 @@ def run_stream(
             f"stream dims {dims} do not match state dims "
             f"({state.model.feature_dim}, {state.model.class_count})"
         )
-    stream.validate(already_learned=state.ledger.learned_ids)
+    stream.validate(state.ledger)
 
     record = RunRecord(
         config={
@@ -308,9 +289,9 @@ def run_stream(
 
     for index, batch in enumerate(stream.learn_requests, start=1):
         try:
-            start = time.perf_counter() if options.collect_timing else 0.0
+            start = time.perf_counter()
             new_tracking, new_model = learn_update(state.tracking, state.model, batch)
-            elapsed = time.perf_counter() - start if options.collect_timing else 0.0
+            elapsed = time.perf_counter() - start
             state.ledger.record_learn(batch.sample_ids)
         except RidgeForgetError as exc:
             raise RunAbortedError("learn", index, exc) from exc
@@ -320,10 +301,10 @@ def run_stream(
 
     for index, batch in enumerate(stream.forget_requests, start=1):
         try:
-            start = time.perf_counter() if options.collect_timing else 0.0
+            start = time.perf_counter()
             new_tracking = unlearn_tracking(state.tracking, batch)
             new_model = unlearn_model(state.model, new_tracking, batch)
-            elapsed = time.perf_counter() - start if options.collect_timing else 0.0
+            elapsed = time.perf_counter() - start
             state.ledger.record_forget(batch.sample_ids)
         except RidgeForgetError as exc:
             raise RunAbortedError("forget", index, exc) from exc

@@ -69,7 +69,7 @@ class SampleLedger:
         overlap = ids & self.forgotten_ids
         if overlap:
             raise ContractViolation(
-                f"ids already forgotten: {sorted(overlap)[:5]}"
+                f"forget ids overlap ids already forgotten: {sorted(overlap)[:5]}"
             )
         self.forgotten_ids |= ids
 

@@ -32,7 +32,6 @@ from ridgeforget import (
     save_state,
     unlearn_model,
     unlearn_tracking,
-    woodbury_update,
 )
 from ridgeforget.core import AnalyticModel, TrackingMatrix
 
@@ -237,6 +236,7 @@ def test_criterion_inverse_update_identity():
     with criterion("rank-m inverse update vs dense inverse <= 1e-10, 50 cases, < 2 s"):
         rng = np.random.default_rng(55)
         start = time.perf_counter()
+        dual_cases = 0
         for _ in range(50):
             d = int(rng.integers(2, 33))
             m = int(rng.integers(1, 9))
@@ -245,9 +245,16 @@ def test_criterion_inverse_update_identity():
             qc, _ = np.linalg.qr(rng.standard_normal((m, m)))
             c = qc @ np.diag(rng.uniform(1.0, 2.0, m)) @ qc.T
             b = rng.standard_normal((d, m))
-            got = woodbury_update(np.linalg.inv(a), b, c, b.T)
+            # learning rows F = (B L_C)^T, C = L_C L_C^T, adds B C B^T to A
+            rows = (b @ np.linalg.cholesky(c)).T
+            batch = FeatureBatch(rows, np.tile([1.0, 0.0], (m, 1)), np.arange(m))
+            tracking = TrackingMatrix(np.linalg.inv(a), 1.0)
+            model = AnalyticModel(np.zeros((d, 2)), 1.0)
+            got, _ = learn_update(tracking, model, batch)
             want = np.linalg.inv(a + b @ c @ b.T)
-            assert rel_fro(got, want) <= 1e-10
+            assert rel_fro(got.matrix, want) <= 1e-10
+            dual_cases += m >= d
+        assert dual_cases >= 1  # the d x d dual form ran as well
         assert time.perf_counter() - start < 2.0
 
 

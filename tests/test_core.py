@@ -14,7 +14,6 @@ from ridgeforget import (
     ContractViolation,
     FeatureBatch,
     InputError,
-    SingularityError,
     StateIntegrityError,
     TrackingMatrix,
     UnlearnabilityError,
@@ -24,7 +23,6 @@ from ridgeforget import (
     predict,
     unlearn_model,
     unlearn_tracking,
-    woodbury_update,
 )
 from ridgeforget import core
 
@@ -185,63 +183,6 @@ def test_joint_fit_is_the_minimizer_by_finite_differences():
                 2 * step
             )
             assert abs(derivative) <= 1e-5 * (1.0 + abs(base))
-
-
-# ---------------------------------------------------------- woodbury_update
-
-
-def test_woodbury_scalar_case():
-    one = np.array([[1.0]])
-    assert np.allclose(woodbury_update(one, one, one, one), [[0.5]])
-
-
-def test_woodbury_zero_b_returns_a_inv():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    a_inv = np.linalg.inv(a)
-    b = np.zeros((4, 2))
-    c = np.eye(2)
-    d = rng.standard_normal((2, 4))
-    assert np.array_equal(woodbury_update(a_inv, b, c, d), a_inv)
-
-
-def test_woodbury_matches_dense_inverse():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        d, m = 6, 2
-        basis = rng.standard_normal((d, d))
-        a = basis @ basis.T + d * np.eye(d)
-        b = rng.standard_normal((d, m))
-        got = woodbury_update(np.linalg.inv(a), b, np.eye(m), b.T)
-        want = np.linalg.inv(a + b @ b.T)
-        assert rel_fro(got, want) <= 1e-10
-
-
-def test_woodbury_general_nonsymmetric_c():
-    a = np.diag([2.0, 3.0])
-    b = np.eye(2)
-    c = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    d = np.array([[1.0, 2.0], [3.0, 4.0]])
-    got = woodbury_update(np.linalg.inv(a), b, c, d)
-    want = np.linalg.inv(a + b @ c @ d)
-    assert rel_fro(got, want) <= 1e-12
-
-
-def test_woodbury_singular_core_names_submatrix():
-    # B C D cancels A exactly, so the inner system is singular
-    a_inv = np.eye(2)
-    b = np.eye(2)
-    c = -np.eye(2)
-    d = np.eye(2)
-    with pytest.raises(SingularityError, match="core"):
-        woodbury_update(a_inv, b, c, d)
-    with pytest.raises(SingularityError, match="C"):
-        woodbury_update(np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
-
-
-def test_woodbury_shape_checks():
-    with pytest.raises(ContractViolation):
-        woodbury_update(np.eye(2), np.ones((3, 1)), np.eye(1), np.ones((1, 2)))
 
 
 # ------------------------------------------------------------- learn_update

@@ -3,6 +3,7 @@ import pytest
 from _helpers import batch_union, rand_batch, rel_fro
 
 from ridgeforget import (
+    AnalyticModel,
     ContractViolation,
     EncodedDataset,
     EngineState,
@@ -11,6 +12,8 @@ from ridgeforget import (
     RequestStream,
     RunAbortedError,
     RunOptions,
+    SampleLedger,
+    TrackingMatrix,
     bench_scaling,
     build_forget_stream,
     build_stream,
@@ -181,6 +184,20 @@ def test_overlapping_forget_requests_rejected():
         run_stream(stream, 1.0)
 
 
+def test_resumed_stream_cannot_reforget_before_any_request_runs():
+    rng = np.random.default_rng(37)
+    batch = rand_batch(rng, 8, 4, 2)
+    _, state = run_stream(RequestStream((batch,), (batch.permuted([0, 1]),)), 1.0)
+    # the second batch re-forgets id 0, which the resumed state already forgot
+    stream = RequestStream((), (batch.permuted([2, 3]), batch.permuted([0, 4])))
+    tracking, model = state.tracking, state.model
+    with pytest.raises(ContractViolation, match="already forgotten"):
+        run_stream(stream, 1.0, initial_state=state)
+    assert state.ledger.learned_ids == set(range(8))
+    assert state.ledger.forgotten_ids == {0, 1}
+    assert state.tracking is tracking and state.model is model
+
+
 def test_aborted_run_leaves_state_at_last_completed_request():
     learn = FeatureBatch([[1.0, 0.0]], [[1.0, 0.0]], [0])
     # same id, rescaled features: passes id validation, breaks the math
@@ -203,6 +220,17 @@ def test_initial_state_gamma_must_match():
     state = EngineState.fresh(3, 2, 1.0)
     with pytest.raises(ContractViolation):
         run_stream(RequestStream((), ()), 0.5, initial_state=state)
+
+
+@pytest.mark.parametrize(
+    "tracking, message",
+    [(TrackingMatrix.fresh(3, 0.5), "gamma"), (TrackingMatrix.fresh(4, 1.0), "dim")],
+    ids=["gamma", "feature-dim"],
+)
+def test_engine_state_rejects_mismatched_pair(tracking, message):
+    model = AnalyticModel(np.zeros((3, 2)), 1.0)
+    with pytest.raises(ContractViolation, match=message):
+        EngineState(model, tracking, SampleLedger())
 
 
 def test_verification_needs_dataset_and_test_rows():
