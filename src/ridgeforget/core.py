@@ -15,8 +15,9 @@ fills one triangle, mirrored onto the other, so T' is exactly symmetric.
 A removal core that fails Cholesky, or whose condition estimate exceeds
 COND_LIMIT, means the rows were not in the tracked Gram.  T' and W' equal
 the joint fit on the survivors to float64 precision.  Validation runs once,
-at trust boundaries: FeatureBatch and the public TrackingMatrix constructor
-(also used by state loading); update outputs keep shape and finiteness.
+at trust boundaries: FeatureBatch (EncodedDataset, for a dataset's rows) and
+the public TrackingMatrix constructor (also used by state loading); update
+outputs keep shape and finiteness.
 Importing this module sets the bundled OpenBLAS to one thread for the whole
 process; only joint_fit's Gram, Cholesky and inverse use the host's threads.
 """
@@ -226,6 +227,17 @@ class FeatureBatch:
                 raise ContractViolation("sample ids must be distinct within a batch")
             if (ids < 0).any():
                 raise ContractViolation("sample ids must be non-negative")
+        self._seal(features, labels, ids)
+
+    @classmethod
+    def _trusted(cls, features, labels, sample_ids) -> "FeatureBatch":
+        """Wrap the arrays of a validated EncodedDataset, frozen in place:
+        rows of a valid dataset are valid, so nothing is copied or checked."""
+        batch = object.__new__(cls)
+        batch._seal(features, labels, sample_ids)
+        return batch
+
+    def _seal(self, features, labels, ids):
         object.__setattr__(self, "features", _freeze(features))
         object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "sample_ids", _freeze(ids))

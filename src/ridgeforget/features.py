@@ -21,6 +21,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -196,7 +197,11 @@ def generate_synthetic(spec: SyntheticSpec, draw: int = 0) -> RawDataset:
 
 @dataclass(frozen=True)
 class EncodedDataset:
-    """Feature rows with one-hot labels, keyed by distinct sample ids."""
+    """Feature rows with one-hot labels, keyed by distinct sample ids.
+
+    Features must be finite: rows of a validated dataset are valid batch
+    rows, so to_batch re-checks nothing.
+    """
 
     sample_ids: np.ndarray
     features: np.ndarray
@@ -230,6 +235,12 @@ class EncodedDataset:
             expected[np.arange(n), labels] = 1.0
             if not np.array_equal(one_hots, expected):
                 raise ContractViolation("one_hots must match label_indices exactly")
+            finite = np.isfinite(features).all(axis=1)
+            if not finite.all():
+                raise InputError(
+                    f"features of sample id {ids[np.argmin(finite)]} contain "
+                    "non-finite values"
+                )
         self._seal(ids, features, labels, one_hots)
 
     def _seal(self, ids, features, labels, one_hots):
@@ -276,29 +287,48 @@ class EncodedDataset:
         taken[indices] = True
         if np.count_nonzero(taken) != indices.size:
             raise ContractViolation("sample ids must be unique")
+        return self._take(indices)
+
+    def _take(self, rows) -> "EncodedDataset":
         return EncodedDataset._trusted(
-            self.sample_ids[indices],
-            self.features[indices],
-            self.label_indices[indices],
-            self.one_hots[indices],
+            self.sample_ids[rows],
+            self.features[rows],
+            self.label_indices[rows],
+            self.one_hots[rows],
             self.class_count,
         )
+
+    @cached_property
+    def _id_index(self):
+        """(rows in id order, ids in that order): the id -> row index, built
+        on first use and kept, since the arrays never change."""
+        order = np.argsort(self.sample_ids)
+        return order, self.sample_ids[order]
+
+    def _locate(self, wanted: np.ndarray):
+        """The rows holding the ids of `wanted`, and the ids no row holds,
+        sorted and distinct."""
+        order, sorted_ids = self._id_index
+        at = np.searchsorted(sorted_ids, wanted)
+        found = at < sorted_ids.size
+        found[found] = sorted_ids[at[found]] == wanted[found]
+        return order[at[found]], np.unique(wanted[~found])
 
     def subset_by_ids(self, ids) -> "EncodedDataset":
         """Rows whose id is in `ids`, in dataset order.  Unknown ids are a
         contract violation."""
-        wanted = np.fromiter(ids, dtype=np.int64)
-        unknown = wanted[~np.isin(wanted, self.sample_ids)]
+        rows, unknown = self._locate(np.fromiter(ids, dtype=np.int64))
         if unknown.size:
-            unknown = np.unique(unknown)
             raise ContractViolation(
                 f"ids not present in dataset: {unknown[:5].tolist()}"
                 + ("..." if unknown.size > 5 else "")
             )
-        return self.subset(np.nonzero(np.isin(self.sample_ids, wanted))[0])
+        taken = np.zeros(len(self), dtype=bool)
+        taken[rows] = True
+        return self._take(np.flatnonzero(taken))
 
     def to_batch(self) -> FeatureBatch:
-        return FeatureBatch(self.features, self.one_hots, self.sample_ids)
+        return FeatureBatch._trusted(self.features, self.one_hots, self.sample_ids)
 
     def content_hash(self) -> str:
         digest = hashlib.sha256()

@@ -5,6 +5,12 @@ every metric here measures how far an incrementally updated model is from
 that reference: normalized weight distance, accuracy gaps on the retained /
 forgotten / test rows, and a membership-inference gap built from a
 residual-threshold classifier.  Exact removal drives all of them to zero.
+
+gap_report gathers the retained rows and the forgotten rows once each, refits
+the oracle from the gathered feature rows (never from T or the updated
+model), and takes both the accuracy and the residual scores of each (model,
+rows) pair from one score product.  The public metric functions share its
+private helpers, so each metric has one definition.
 """
 
 from __future__ import annotations
@@ -77,6 +83,16 @@ class SampleLedger:
         return SampleLedger(set(self.learned_ids), set(self.forgotten_ids))
 
 
+def _retained_rows(dataset: EncodedDataset, ledger: SampleLedger) -> EncodedDataset:
+    """The retained rows in dataset order, once every learned id is known."""
+    _, unknown = dataset._locate(np.fromiter(ledger.learned_ids, dtype=np.int64))
+    if unknown.size:
+        raise ContractViolation(
+            f"ledger references ids missing from dataset: {unknown[:5].tolist()}"
+        )
+    return dataset.subset_by_ids(ledger.retained_ids)
+
+
 def oracle_retrain(
     dataset: EncodedDataset, ledger: SampleLedger, gamma: float
 ) -> AnalyticModel:
@@ -85,23 +101,27 @@ def oracle_retrain(
     This is the reference the gap metrics compare against; unlike the
     recursive updates it is allowed to touch retained data.
     """
-    learned = np.fromiter(ledger.learned_ids, dtype=np.int64)
-    unknown = np.sort(learned[~np.isin(learned, dataset.sample_ids)])
-    if unknown.size:
-        raise ContractViolation(
-            f"ledger references ids missing from dataset: {unknown[:5].tolist()}"
-        )
-    retained = dataset.subset_by_ids(ledger.retained_ids)
-    model, _ = joint_fit(retained.to_batch(), gamma)
+    model, _ = joint_fit(_retained_rows(dataset, ledger).to_batch(), gamma)
     return model
+
+
+def _residuals(rows: EncodedDataset, scores: np.ndarray) -> np.ndarray:
+    residual = rows.one_hots - scores
+    return np.sum(residual * residual, axis=1)
+
+
+def _scored(model: AnalyticModel, rows: EncodedDataset):
+    """(accuracy, residual scores) of `model` on `rows`, from one product."""
+    if len(rows) == 0:
+        raise InputError("accuracy over an empty row set is undefined")
+    scores, classes = predict(model, rows.features)
+    hit_rate = float(np.mean(classes == rows.label_indices))
+    return 100.0 * hit_rate, _residuals(rows, scores)
 
 
 def accuracy(model: AnalyticModel, rows: EncodedDataset) -> float:
     """Percentage of rows whose predicted class equals the label."""
-    if len(rows) == 0:
-        raise InputError("accuracy over an empty row set is undefined")
-    _, classes = predict(model, rows.features)
-    return 100.0 * float(np.mean(classes == rows.label_indices))
+    return _scored(model, rows)[0]
 
 
 def params_gap(a: AnalyticModel, b: AnalyticModel) -> float:
@@ -118,8 +138,7 @@ def params_gap(a: AnalyticModel, b: AnalyticModel) -> float:
 
 def residual_scores(model: AnalyticModel, rows: EncodedDataset) -> np.ndarray:
     """Per-sample squared residual ||y - f W||^2, the membership score."""
-    residual = rows.one_hots - rows.features @ model.weights
-    return np.sum(residual * residual, axis=1)
+    return _residuals(rows, rows.features @ model.weights)
 
 
 def fit_member_threshold(member_scores, nonmember_scores) -> float:
@@ -159,14 +178,20 @@ def mia_gap(
         raise InputError("mia_gap requires a non-empty forgotten set")
     if len(retained) == 0 or len(test_rows) == 0:
         raise InputError("mia_gap requires non-empty retained and test sets")
+    row_sets = (retained, test_rows, forgotten)
+    return _membership_gap(
+        [residual_scores(unlearned, rows) for rows in row_sets],
+        [residual_scores(retrained, rows) for rows in row_sets],
+    )
 
-    def member_rate(model: AnalyticModel) -> float:
-        threshold = fit_member_threshold(
-            residual_scores(model, retained), residual_scores(model, test_rows)
-        )
-        return float(np.mean(residual_scores(model, forgotten) <= threshold))
 
-    return abs(member_rate(unlearned) - member_rate(retrained))
+def _membership_gap(unlearned_residuals, retrained_residuals) -> float:
+    """mia_gap from each model's (retained, test, forgotten) residual scores."""
+
+    def member_rate(retained, test, forgotten) -> float:
+        return float(np.mean(forgotten <= fit_member_threshold(retained, test)))
+
+    return abs(member_rate(*unlearned_residuals) - member_rate(*retrained_residuals))
 
 
 @dataclass(frozen=True)
@@ -228,22 +253,31 @@ def gap_report(
     test_rows: EncodedDataset,
     request_index: int,
 ) -> GapReport:
-    """Retrain the oracle and compute every gap metric for `unlearned`."""
-    retrained = oracle_retrain(dataset, ledger, unlearned.gamma)
-    retained = dataset.subset_by_ids(ledger.retained_ids)
+    """Retrain the oracle and compute every gap metric for `unlearned`.
+
+    Equal to composing oracle_retrain, params_gap, accuracy and mia_gap, but
+    each row set is gathered once and scored once per model."""
+    retained = _retained_rows(dataset, ledger)
+    retrained, _ = joint_fit(retained.to_batch(), unlearned.gamma)
     delta_params = params_gap(unlearned, retrained)
-    delta_retain = abs(accuracy(unlearned, retained) - accuracy(retrained, retained))
-    delta_test = abs(accuracy(unlearned, test_rows) - accuracy(retrained, test_rows))
-    if not ledger.forgotten_ids:
+    row_sets = [retained, test_rows]
+    if ledger.forgotten_ids:
+        row_sets.append(dataset.subset_by_ids(ledger.forgotten_ids))
+    # (accuracy, residual scores) per row set: retained, test[, forgotten]
+    updated = [_scored(unlearned, rows) for rows in row_sets]
+    reference = [_scored(retrained, rows) for rows in row_sets]
+    delta_retain, delta_test, *delta_forget = [
+        abs(a - b) for (a, _), (b, _) in zip(updated, reference)
+    ]
+    if not delta_forget:
         return GapReport(
             request_index, delta_params, delta_retain, 0.0, delta_test, 0.0,
             no_forgotten=True,
         )
-    forgotten = dataset.subset_by_ids(ledger.forgotten_ids)
-    delta_forget = abs(
-        accuracy(unlearned, forgotten) - accuracy(retrained, forgotten)
+    delta_mia = 100.0 * _membership_gap(
+        [r for _, r in updated], [r for _, r in reference]
     )
-    delta_mia = 100.0 * mia_gap(unlearned, retrained, dataset, ledger, test_rows)
     return GapReport(
-        request_index, delta_params, delta_retain, delta_forget, delta_test, delta_mia
+        request_index, delta_params, delta_retain, delta_forget[0], delta_test,
+        delta_mia,
     )

@@ -1,10 +1,15 @@
-"""The benchmark's tracer wraps package functions by name; every name it
-patches must still exist, or installing it fails in the middle of a run."""
+"""The benchmark's tracer and request clock wrap package functions by name;
+every name they patch must still exist, or installing them fails in the
+middle of a run."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def test_every_tracer_patch_target_resolves():
@@ -19,3 +24,27 @@ def test_every_tracer_patch_target_resolves():
         if not found or not callable(getattr(owner, attr)):
             missing.append(f"{target}.{attr}")
     assert not missing, f"tracer patch targets not found: {missing}"
+
+
+def _request_clock_hooks():
+    """RequestClock.HOOKS, read from the source without importing it."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "RequestClock":
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "HOOKS" for t in stmt.targets
+                ):
+                    return ast.literal_eval(stmt.value)
+    raise AssertionError("RequestClock.HOOKS not found in perfbench/workloads.py")
+
+
+def test_every_request_clock_hook_resolves():
+    hooks = _request_clock_hooks()
+    assert hooks
+    missing = []
+    for module_name, attr, _ in hooks:
+        module = importlib.import_module(module_name)
+        if not callable(vars(module).get(attr)):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, f"request clock hooks not found: {missing}"

@@ -103,6 +103,13 @@ def test_bad_input_exits_1(tmp_path, data_files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_features_exit_1(tmp_path, capsys):
+    data = tmp_path / "nan.csv"
+    data.write_text("id,label,f0,f1\n0,0,0.5,0.25\n1,1,nan,1.0\n", encoding="utf-8")
+    assert run_cli("run", "--data", data, "--forget-total", 1, "--requests", 1) == 1
+    assert "sample id 1 contain non-finite" in capsys.readouterr().err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert run_cli("run", "--data", tmp_path / "absent.csv") == 1
     capsys.readouterr()

@@ -231,6 +231,72 @@ def test_subset_by_ids_rejects_unknown():
         encoded.subset_by_ids(range(2, 9))
 
 
+def _unsorted_ids_dataset():
+    return EncodedDataset.from_features(
+        [7, 3, 11, 5], np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], 2
+    )
+
+
+def test_subset_by_ids_keeps_dataset_order_for_unsorted_ids():
+    encoded = _unsorted_ids_dataset()
+    got = encoded.subset_by_ids([5, 7, 11])
+    assert got.sample_ids.tolist() == [7, 11, 5]
+    assert np.array_equal(got.features, encoded.features[[0, 2, 3]])
+    assert got.label_indices.tolist() == [0, 0, 1]
+    assert np.array_equal(got.one_hots, encoded.one_hots[[0, 2, 3]])
+
+
+def test_subset_by_ids_collapses_repeated_ids():
+    got = _unsorted_ids_dataset().subset_by_ids([11, 3, 11, 11])
+    assert got.sample_ids.tolist() == [3, 11]
+
+
+def test_subset_by_ids_of_no_ids_is_empty():
+    got = _unsorted_ids_dataset().subset_by_ids(set())
+    assert len(got) == 0
+    assert got.features.shape == (0, 2) and got.one_hots.shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [{11, 7}, frozenset({7, 11}), range(7, 12, 4), (i for i in (11, 7))],
+    ids=["set", "frozenset", "range", "generator"],
+)
+def test_subset_by_ids_accepts_any_iterable(ids):
+    assert _unsorted_ids_dataset().subset_by_ids(ids).sample_ids.tolist() == [7, 11]
+
+
+def test_subset_by_ids_matches_a_membership_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(0, 40))
+        ids = rng.choice(1000, size=n, replace=False)
+        encoded = EncodedDataset.from_features(
+            ids, rng.standard_normal((n, 3)), rng.integers(0, 2, n), 2
+        )
+        wanted = rng.choice(ids, size=int(rng.integers(0, 2 * n + 1))) if n else []
+        keep = set(int(i) for i in wanted)
+        rows = [r for r in range(n) if int(ids[r]) in keep]
+        got = encoded.subset_by_ids(wanted)
+        assert got.sample_ids.tolist() == ids[rows].tolist()
+        assert np.array_equal(got.features, encoded.features[rows])
+
+
+def test_feature_csv_with_nan_fails_at_load(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("id,label,f0,f1\n0,0,0.5,0.25\n4,1,nan,1.0\n", encoding="utf-8")
+    with pytest.raises(InputError, match="sample id 4 contain non-finite"):
+        load_csv(path)
+
+
+def test_raw_csv_with_inf_fails_at_encode(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("id,label,x0,x1\n0,0,0.5,0.25\n3,1,inf,1.0\n", encoding="utf-8")
+    raw = load_csv(path)
+    with pytest.raises(InputError, match="sample id 3 contain non-finite"):
+        encode(FeatureExtractor.from_seed(1, 2, 6), raw)
+
+
 # -------------------------------------------------------------------- CSV
 
 

@@ -6,6 +6,7 @@ from ridgeforget import (
     AnalyticModel,
     ContractViolation,
     EncodedDataset,
+    FeatureBatch,
     FeatureExtractor,
     InputError,
     SampleLedger,
@@ -345,3 +346,75 @@ def test_gap_report_csv_row_shape():
     row = report.to_csv_row()
     assert row.startswith("7,")
     assert len(row.split(",")) == 6
+
+
+def _composed_deltas(model, dataset, ledger, test_rows):
+    """gap_report's deltas from the public metric functions."""
+    retrained = oracle_retrain(dataset, ledger, model.gamma)
+    retained = dataset.subset_by_ids(ledger.retained_ids)
+    deltas = [
+        params_gap(model, retrained),
+        abs(accuracy(model, retained) - accuracy(retrained, retained)),
+        0.0,
+        abs(accuracy(model, test_rows) - accuracy(retrained, test_rows)),
+        0.0,
+    ]
+    if ledger.forgotten_ids:
+        forgotten = dataset.subset_by_ids(ledger.forgotten_ids)
+        deltas[2] = abs(accuracy(model, forgotten) - accuracy(retrained, forgotten))
+        deltas[4] = 100.0 * mia_gap(model, retrained, dataset, ledger, test_rows)
+    return deltas
+
+
+def _report_deltas(report):
+    return [
+        report.delta_params, report.delta_retain, report.delta_forget,
+        report.delta_test, report.delta_mia,
+    ]
+
+
+def test_gap_report_equals_the_public_metrics_bit_for_bit():
+    model, dataset, ledger, test_rows = _recursive_unlearn_setup(n=60, d_f=30)
+    rng = np.random.default_rng(107)
+    perturbed = AnalyticModel(
+        model.weights + 0.5 * rng.standard_normal(model.weights.shape), model.gamma
+    )
+    report = gap_report(perturbed, dataset, ledger, test_rows, 4)
+    assert not report.no_forgotten
+    assert min(_report_deltas(report)) > 0.0
+    assert _report_deltas(report) == _composed_deltas(
+        perturbed, dataset, ledger, test_rows
+    )
+
+
+def test_gap_report_without_forgotten_rows_equals_the_public_metrics():
+    model, dataset, ledger, test_rows = _recursive_unlearn_setup()
+    ledger = SampleLedger(ledger.learned_ids)
+    report = gap_report(model, dataset, ledger, test_rows, 5)
+    assert report.no_forgotten
+    assert report.delta_params > 0.0
+    assert _report_deltas(report) == _composed_deltas(model, dataset, ledger, test_rows)
+
+
+@pytest.mark.parametrize("forgets, gathers", [(True, 2), (False, 1)])
+def test_gap_report_gathers_each_row_set_once(monkeypatch, forgets, gathers):
+    model, dataset, ledger, test_rows = _recursive_unlearn_setup()
+    if not forgets:
+        ledger = SampleLedger(ledger.learned_ids)
+    calls = {"subset_by_ids": 0, "validate": 0}
+    subset_by_ids = EncodedDataset.subset_by_ids
+    validate = FeatureBatch.__post_init__
+
+    def counted_subset_by_ids(self, ids):
+        calls["subset_by_ids"] += 1
+        return subset_by_ids(self, ids)
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        validate(self)
+
+    monkeypatch.setattr(EncodedDataset, "subset_by_ids", counted_subset_by_ids)
+    monkeypatch.setattr(FeatureBatch, "__post_init__", counted_validate)
+    report = gap_report(model, dataset, ledger, test_rows, 6)
+    assert report.no_forgotten is not forgets
+    assert calls == {"subset_by_ids": gathers, "validate": 0}
