@@ -79,7 +79,7 @@ def _write_run_report(path, record):
                 repr(req.wall_time_seconds),
             ]
             if req.report is not None:
-                cells += req.report.to_csv_row().split(",")[1:]
+                cells += [repr(v) for v in req.report.deltas]
             else:
                 cells += [""] * 5
             handle.write(",".join(cells) + "\n")

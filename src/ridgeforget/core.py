@@ -15,9 +15,10 @@ fills one triangle, mirrored onto the other, so T' is exactly symmetric.
 A removal core that fails Cholesky, or whose condition estimate exceeds
 COND_LIMIT, means the rows were not in the tracked Gram.  T' and W' equal
 the joint fit on the survivors to float64 precision.  Validation runs once,
-at trust boundaries: FeatureBatch (EncodedDataset, for a dataset's rows) and
-the public TrackingMatrix constructor (also used by state loading); update
-outputs keep shape and finiteness.
+at trust boundaries: FeatureBatch, the row containers of `features` and the
+public TrackingMatrix constructor (also used by state loading).  The row
+invariants are written once, in _check_rows, and the gamma check once, in
+_check_gamma; update outputs keep shape and finiteness.
 Importing this module sets the bundled OpenBLAS to one thread for the whole
 process; only joint_fit's Gram, Cholesky and inverse use the host's threads.
 """
@@ -25,6 +26,8 @@ process; only joint_fit's Gram, Cholesky and inverse use the host's threads.
 from __future__ import annotations
 
 import ctypes
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +111,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_gamma(gamma) -> float:
+    """`gamma` as a Python float, if it is a finite real > 0."""
+    if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma) and gamma > 0):
+        raise ContractViolation(f"gamma must be finite and > 0, got {gamma!r}")
+    return float(gamma)
+
+
 @dataclass(frozen=True)
 class AnalyticModel:
     """Weight matrix of the closed-form classifier plus its ridge strength.
@@ -124,10 +134,8 @@ class AnalyticModel:
         weights = _as_matrix(self.weights, "weights")
         if not np.isfinite(weights).all():
             raise ContractViolation("model weights must be finite")
-        if not (isinstance(self.gamma, (int, float)) and self.gamma > 0):
-            raise ContractViolation(f"gamma must be > 0, got {self.gamma!r}")
         object.__setattr__(self, "weights", _freeze(weights))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
 
     @property
     def feature_dim(self) -> int:
@@ -151,9 +159,7 @@ class TrackingMatrix:
     gamma: float
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, (int, float)) and self.gamma > 0):
-            raise ContractViolation(f"gamma must be > 0, got {self.gamma!r}")
-        self._seal(_as_matrix(self.matrix, "tracking matrix"), float(self.gamma))
+        self._seal(_as_matrix(self.matrix, "tracking matrix"), _check_gamma(self.gamma))
         scale = max(float(np.linalg.norm(self.matrix)), 1e-300)
         asym = float(np.linalg.norm(self.matrix - self.matrix.T)) / scale
         if asym > SYMMETRY_RTOL:
@@ -188,9 +194,36 @@ class TrackingMatrix:
         """Tracking matrix of the empty retained set: (gamma I)^(-1)."""
         if feature_dim <= 0:
             raise ContractViolation(f"feature_dim must be > 0, got {feature_dim}")
-        if gamma <= 0:
-            raise ContractViolation(f"gamma must be > 0, got {gamma!r}")
+        gamma = _check_gamma(gamma)
         return cls(np.eye(feature_dim) / gamma, gamma)
+
+
+def _check_rows(ids: np.ndarray, *columns, features=None, one_hots=None):
+    """The row invariants of every row container: one row per id in each of
+    `columns`, `features` and `one_hots`; distinct non-negative ids; finite
+    features; and one-hot label rows, a single 1 among 0s.  Raises
+    InputError naming the sample id of a non-finite feature row, and
+    ContractViolation for the rest."""
+    n = ids.shape[0]
+    for column in (*columns, features, one_hots):
+        if column is not None and len(column) != n:
+            raise ContractViolation(
+                f"row counts disagree: {len(column)} rows for {n} ids"
+            )
+    if np.unique(ids).size != n:
+        raise ContractViolation("sample ids must be distinct")
+    if (ids < 0).any():
+        raise ContractViolation("sample ids must be non-negative")
+    if one_hots is not None:
+        ones = one_hots == 1.0
+        if not ((ones | (one_hots == 0.0)).all() and (ones.sum(axis=1) == 1).all()):
+            raise ContractViolation("each label row must be one-hot")
+    # all() over the whole matrix first: it is the cost on every valid batch
+    if features is not None and not np.isfinite(features).all():
+        finite = np.isfinite(features).all(axis=1)
+        raise InputError(
+            f"features of sample id {ids[np.argmin(finite)]} contain non-finite values"
+        )
 
 
 @dataclass(frozen=True)
@@ -211,22 +244,7 @@ class FeatureBatch:
         features = _as_matrix(self.features, "features")
         labels = _as_matrix(self.labels, "labels")
         ids = np.array(self.sample_ids, dtype=np.int64, copy=True).reshape(-1)
-        n = features.shape[0]
-        if labels.shape[0] != n or ids.shape[0] != n:
-            raise ContractViolation(
-                f"row counts disagree: features {n}, labels {labels.shape[0]}, "
-                f"ids {ids.shape[0]}"
-            )
-        if n > 0:
-            if not np.isfinite(features).all():
-                raise InputError("batch features contain non-finite values")
-            is_binary = np.logical_or(labels == 0.0, labels == 1.0).all()
-            if not is_binary or not ((labels == 1.0).sum(axis=1) == 1).all():
-                raise ContractViolation("each label row must be one-hot")
-            if np.unique(ids).size != n:
-                raise ContractViolation("sample ids must be distinct within a batch")
-            if (ids < 0).any():
-                raise ContractViolation("sample ids must be non-negative")
+        _check_rows(ids, features=features, one_hots=labels)
         self._seal(features, labels, ids)
 
     @classmethod
@@ -367,8 +385,7 @@ def joint_fit(batch: FeatureBatch, gamma: float):
       tracking = (F^T F + gamma I)^(-1)
     the unique global minimizer of objective_value over the batch.
     """
-    if not gamma > 0:
-        raise ContractViolation(f"gamma must be > 0, got {gamma!r}")
+    gamma = _check_gamma(gamma)
     # F^T Y on one thread: threaded, it averaged 7 ms against 0.6 at N=3000,
     # d=64; scipy's dgemm takes 20 ms to numpy's 43 at N=10,000, d=1024
     rhs = blas.dgemm(1.0, batch.features.T, batch.labels)
@@ -387,7 +404,7 @@ def joint_fit(batch: FeatureBatch, gamma: float):
         inverse = blas.dsyrk(1.0, inv_factor, trans=1, lower=1)
     finally:
         _use_host_blas_threads(False)
-    tracking = TrackingMatrix._trusted(_mirror_lower(inverse).T, float(gamma))
+    tracking = TrackingMatrix._trusted(_mirror_lower(inverse).T, gamma)
     return AnalyticModel(weights, gamma), tracking
 
 

@@ -13,6 +13,9 @@ Both round-trip through a CSV format selected by header prefix:
     id,label,f0,...,f{d-1}   pre-extracted features (extractor bypassed)
 
 Labels are 0-based integers.  Parse errors report 1-based line numbers.
+RawDataset, EncodedDataset and core's FeatureBatch check their row
+invariants (ids, row counts, finite features, one-hot rows) through one
+helper, core._check_rows; encode extracts a whole dataset in one product.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FeatureBatch
+from .core import FeatureBatch, _as_matrix, _check_rows
 from .errors import ContractViolation, InputError
 
 NONLINEARITIES = ("relu", "identity")
@@ -86,26 +89,21 @@ class FeatureExtractor:
 
     def extract(self, x) -> np.ndarray:
         """Feature vector G(x @ projection) for a single input row."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != self.input_dim:
+        return self.extract_rows(np.reshape(x, (1, -1)))[0]
+
+    def extract_rows(self, inputs) -> np.ndarray:
+        """Feature rows G(inputs @ projection).  einsum's own loop, unlike a
+        BLAS product, gives a row the same bits alone or in any stack, so
+        features do not depend on how rows are batched."""
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim != 2 or inputs.shape[1] != self.input_dim:
             raise ContractViolation(
-                f"input length {x.shape[0]} does not match input_dim "
-                f"{self.input_dim}"
+                f"inputs must be n x {self.input_dim}, got shape {inputs.shape}"
             )
-        z = x @ self.projection
+        z = np.einsum("ij,jk->ik", inputs, self.projection, optimize=False)
         if self.nonlinearity == "relu":
             return np.maximum(z, 0.0)
         return z
-
-    def extract_rows(self, inputs) -> np.ndarray:
-        """extract() applied row by row (identical bits to per-row calls)."""
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 2:
-            raise ContractViolation(f"inputs must be 2-D, got ndim={inputs.ndim}")
-        out = np.empty((inputs.shape[0], self.feature_dim))
-        for row, x in enumerate(inputs):
-            out[row] = self.extract(x)
-        return out
 
     def projection_hash(self) -> str:
         return hashlib.sha256(self.projection.tobytes()).hexdigest()
@@ -122,22 +120,11 @@ class RawDataset:
 
     def __post_init__(self):
         ids = np.array(self.sample_ids, dtype=np.int64, copy=True).reshape(-1)
-        inputs = np.array(self.inputs, dtype=np.float64, order="C", copy=True)
+        inputs = _as_matrix(self.inputs, "inputs")
         labels = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
-        if inputs.ndim != 2:
-            raise ContractViolation("inputs must be a 2-D array")
-        n = inputs.shape[0]
-        if ids.shape[0] != n or labels.shape[0] != n:
-            raise ContractViolation("ids, inputs, and labels must have equal length")
-        if n > 0:
-            if np.unique(ids).size != n:
-                raise ContractViolation("sample ids must be unique")
-            if (ids < 0).any():
-                raise ContractViolation("sample ids must be non-negative")
-            if (labels < 0).any() or (labels >= self.class_count).any():
-                raise ContractViolation(
-                    f"labels must lie in [0, {self.class_count})"
-                )
+        _check_rows(ids, inputs, labels)
+        if ((labels < 0) | (labels >= self.class_count)).any():
+            raise ContractViolation(f"labels must lie in [0, {self.class_count})")
         for name, arr in (("sample_ids", ids), ("inputs", inputs), ("labels", labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -211,36 +198,18 @@ class EncodedDataset:
 
     def __post_init__(self):
         ids = np.array(self.sample_ids, dtype=np.int64, copy=True).reshape(-1)
-        features = np.array(self.features, dtype=np.float64, order="C", copy=True)
+        features = _as_matrix(self.features, "features")
         labels = np.array(self.label_indices, dtype=np.int64, copy=True).reshape(-1)
-        one_hots = np.array(self.one_hots, dtype=np.float64, order="C", copy=True)
-        if features.ndim != 2 or one_hots.ndim != 2:
-            raise ContractViolation("features and one_hots must be 2-D arrays")
-        n = features.shape[0]
-        if ids.shape[0] != n or labels.shape[0] != n or one_hots.shape[0] != n:
-            raise ContractViolation("all row arrays must have equal length")
+        one_hots = _as_matrix(self.one_hots, "one_hots")
         if one_hots.shape[1] != self.class_count:
             raise ContractViolation(
                 f"one_hots width {one_hots.shape[1]} does not match class_count "
                 f"{self.class_count}"
             )
-        if n > 0:
-            if np.unique(ids).size != n:
-                raise ContractViolation("sample ids must be unique")
-            if (ids < 0).any():
-                raise ContractViolation("sample ids must be non-negative")
-            if (labels < 0).any() or (labels >= self.class_count).any():
-                raise ContractViolation(f"labels must lie in [0, {self.class_count})")
-            expected = np.zeros_like(one_hots)
-            expected[np.arange(n), labels] = 1.0
-            if not np.array_equal(one_hots, expected):
-                raise ContractViolation("one_hots must match label_indices exactly")
-            finite = np.isfinite(features).all(axis=1)
-            if not finite.all():
-                raise InputError(
-                    f"features of sample id {ids[np.argmin(finite)]} contain "
-                    "non-finite values"
-                )
+        _check_rows(ids, labels, features=features, one_hots=one_hots)
+        # one-hot rows whose 1 sits at the label index: labels are in range
+        if len(labels) and not np.array_equal(one_hots.argmax(axis=1), labels):
+            raise ContractViolation("one_hots must match label_indices exactly")
         self._seal(ids, features, labels, one_hots)
 
     def _seal(self, ids, features, labels, one_hots):
@@ -264,13 +233,11 @@ class EncodedDataset:
 
     @classmethod
     def from_features(cls, sample_ids, features, label_indices, class_count):
-        features = np.asarray(features, dtype=np.float64)
+        """The dataset whose one-hot rows encode `label_indices`; an
+        out-of-range label leaves a row without a 1, which the constructor
+        rejects."""
         labels = np.asarray(label_indices, dtype=np.int64).reshape(-1)
-        if labels.size > 0 and ((labels < 0).any() or (labels >= class_count).any()):
-            raise ContractViolation(f"labels must lie in [0, {class_count})")
-        one_hots = np.zeros((features.shape[0], class_count))
-        if labels.size > 0:
-            one_hots[np.arange(labels.size), labels] = 1.0
+        one_hots = labels[:, None] == np.arange(class_count)
         return cls(sample_ids, features, labels, one_hots, class_count)
 
     def __len__(self) -> int:
@@ -283,10 +250,7 @@ class EncodedDataset:
     def subset(self, indices) -> "EncodedDataset":
         """Rows at `indices`, as fancy-indexed (fresh) read-only copies."""
         indices = np.asarray(indices, dtype=np.int64)
-        taken = np.zeros(len(self), dtype=bool)
-        taken[indices] = True
-        if np.count_nonzero(taken) != indices.size:
-            raise ContractViolation("sample ids must be unique")
+        _check_rows(self.sample_ids[indices])
         return self._take(indices)
 
     def _take(self, rows) -> "EncodedDataset":
@@ -343,8 +307,7 @@ def encode(
 ) -> EncodedDataset:
     """Extract every raw row, preserving order and ids.
 
-    Errors from extraction or label encoding are re-raised with the
-    offending row index attached.
+    A label outside [0, class_count) is an InputError naming its row.
     """
     if raw.input_dim != extractor.input_dim and len(raw) > 0:
         raise ContractViolation(
@@ -352,16 +315,15 @@ def encode(
             f"input_dim {extractor.input_dim}"
         )
     n_classes = raw.class_count if class_count is None else class_count
-    features = np.empty((len(raw), extractor.feature_dim))
-    one_hots = np.empty((len(raw), n_classes))
-    for row in range(len(raw)):
-        try:
-            features[row] = extractor.extract(raw.inputs[row])
-            one_hots[row] = one_hot(int(raw.labels[row]), n_classes)
-        except (ContractViolation, InputError) as exc:
-            raise type(exc)(f"row {row}: {exc}") from exc
-    return EncodedDataset(
-        raw.sample_ids, features, raw.labels, one_hots, n_classes
+    bad = np.flatnonzero((raw.labels < 0) | (raw.labels >= n_classes))
+    if bad.size:
+        raise InputError(
+            f"row {bad[0]}: label {raw.labels[bad[0]]} out of range [0, {n_classes})"
+        )
+    # an empty dataset of any width encodes to no rows
+    inputs = raw.inputs.reshape(-1, extractor.input_dim)
+    return EncodedDataset.from_features(
+        raw.sample_ids, extractor.extract_rows(inputs), raw.labels, n_classes
     )
 
 

@@ -37,22 +37,11 @@ from .verify import GapReport, SampleLedger, gap_report
 
 
 @dataclass(frozen=True)
-class StreamMeta:
-    seed: int
-    learn_chunks: int
-    forget_requests: int
-    forget_total: int
-    learn_sizes: tuple
-    forget_sizes: tuple
-
-
-@dataclass(frozen=True)
 class RequestStream:
     """Ordered learn batches followed by ordered forget batches."""
 
     learn_requests: tuple
     forget_requests: tuple
-    meta: StreamMeta | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "learn_requests", tuple(self.learn_requests))
@@ -97,7 +86,6 @@ class RequestRecord:
 class RunRecord:
     per_request: list = field(default_factory=list)
     cumulative_time_seconds: float = 0.0
-    config: dict = field(default_factory=dict)
 
     def reports(self):
         return [r.report for r in self.per_request if r.report is not None]
@@ -182,15 +170,7 @@ def build_stream(
         dataset.subset(part).to_batch()
         for part in np.array_split(pool, forget_requests)
     ]
-    meta = StreamMeta(
-        seed=seed,
-        learn_chunks=learn_chunks,
-        forget_requests=forget_requests,
-        forget_total=forget_total,
-        learn_sizes=tuple(len(b) for b in learn_batches),
-        forget_sizes=tuple(len(b) for b in forget_batches),
-    )
-    return RequestStream(tuple(learn_batches), tuple(forget_batches), meta)
+    return RequestStream(tuple(learn_batches), tuple(forget_batches))
 
 
 def build_forget_stream(
@@ -214,15 +194,7 @@ def build_forget_stream(
         dataset.subset_by_ids(part).to_batch()
         for part in np.array_split(pool, forget_requests)
     ]
-    meta = StreamMeta(
-        seed=seed,
-        learn_chunks=0,
-        forget_requests=forget_requests,
-        forget_total=forget_total,
-        learn_sizes=(),
-        forget_sizes=tuple(len(b) for b in forget_batches),
-    )
-    return RequestStream((), tuple(forget_batches), meta)
+    return RequestStream((), tuple(forget_batches))
 
 
 def run_stream(
@@ -275,17 +247,7 @@ def run_stream(
         )
     stream.validate(state.ledger)
 
-    record = RunRecord(
-        config={
-            "gamma": gamma,
-            "feature_dim": state.model.feature_dim,
-            "class_count": state.model.class_count,
-            "learn_requests": len(stream.learn_requests),
-            "forget_requests": len(stream.forget_requests),
-            "verify_every": options.verify_every,
-            "seed": stream.meta.seed if stream.meta else None,
-        }
-    )
+    record = RunRecord()
 
     for index, batch in enumerate(stream.learn_requests, start=1):
         try:

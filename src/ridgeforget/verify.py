@@ -209,20 +209,15 @@ class GapReport:
     no_forgotten: bool = False
 
     def __post_init__(self):
-        deltas = (
-            self.delta_params,
-            self.delta_retain,
-            self.delta_forget,
-            self.delta_test,
-            self.delta_mia,
-        )
-        if any(d < 0 for d in deltas):
+        if any(d < 0 for d in self.deltas):
             raise ContractViolation("gap deltas must be non-negative")
         if any(d > 100.0 for d in (self.delta_retain, self.delta_forget, self.delta_test)):
             raise ContractViolation("accuracy gaps cannot exceed 100")
 
-    def max_delta(self) -> float:
-        return max(
+    @property
+    def deltas(self) -> tuple:
+        """The five gaps in GAP_CSV_HEADER's column order."""
+        return (
             self.delta_params,
             self.delta_retain,
             self.delta_forget,
@@ -230,20 +225,11 @@ class GapReport:
             self.delta_mia,
         )
 
+    def max_delta(self) -> float:
+        return max(self.deltas)
+
     def to_csv_row(self) -> str:
-        return ",".join(
-            [str(self.request_index)]
-            + [
-                repr(v)
-                for v in (
-                    self.delta_params,
-                    self.delta_retain,
-                    self.delta_forget,
-                    self.delta_test,
-                    self.delta_mia,
-                )
-            ]
-        )
+        return ",".join([str(self.request_index)] + [repr(v) for v in self.deltas])
 
 
 def gap_report(

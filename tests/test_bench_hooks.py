@@ -1,6 +1,6 @@
-"""The benchmark's tracer and request clock wrap package functions by name;
-every name they patch must still exist, or installing them fails in the
-middle of a run."""
+"""The benchmark's tracer and request clock wrap package functions by name,
+and its workloads call package names directly; every such name must still
+exist, or the benchmark fails in the middle of a run."""
 
 import ast
 import importlib
@@ -48,3 +48,39 @@ def test_every_request_clock_hook_resolves():
         if not callable(vars(module).get(attr)):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"request clock hooks not found: {missing}"
+
+
+def _benchmark_package_reads():
+    """({alias: module name} for the ridgeforget modules that
+    perfbench/workloads.py imports, sorted (alias, attribute) pairs it reads
+    on them), from the source without importing it."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ridgeforget":
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "ridgeforget":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"ridgeforget.{alias.name}"
+    reads = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    return modules, sorted(reads)
+
+
+def test_every_package_name_the_benchmark_calls_resolves():
+    modules, reads = _benchmark_package_reads()
+    assert {"core", "verify", "rf_state", "cli"} <= modules.keys()
+    expected = {("core", "predict"), ("verify", "SampleLedger"), ("cli", "main")}
+    assert expected <= set(reads)
+    missing = [
+        f"{modules[alias]}.{attr}"
+        for alias, attr in reads
+        if not hasattr(importlib.import_module(modules[alias]), attr)
+    ]
+    assert not missing, f"package names the benchmark calls not found: {missing}"

@@ -110,6 +110,16 @@ def test_non_finite_features_exit_1(tmp_path, capsys):
     assert "sample id 1 contain non-finite" in capsys.readouterr().err
 
 
+def test_infinite_gamma_exits_1(tmp_path, data_files, capsys):
+    train, _ = data_files
+    code = run_cli(
+        "run", "--data", train, "--gamma", "inf", "--forget-total", 1,
+        "--requests", 1, "--out", tmp_path / "report.csv",
+    )
+    assert code == 1
+    assert "gamma" in capsys.readouterr().err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert run_cli("run", "--data", tmp_path / "absent.csv") == 1
     capsys.readouterr()

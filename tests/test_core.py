@@ -55,6 +55,27 @@ def test_tracking_fresh_is_scaled_identity():
     assert np.array_equal(tracking.matrix, np.eye(3) * 2.0)
 
 
+GAMMA_SITES = {
+    "AnalyticModel": lambda gamma: AnalyticModel(np.zeros((2, 2)), gamma),
+    "TrackingMatrix": lambda gamma: TrackingMatrix(np.eye(2), gamma),
+    "TrackingMatrix.fresh": lambda gamma: TrackingMatrix.fresh(2, gamma),
+    "joint_fit": lambda gamma: joint_fit(
+        rand_batch(np.random.default_rng(1), 3, 2, 2), gamma
+    )[1],
+}
+
+
+@pytest.mark.parametrize("site", GAMMA_SITES)
+@pytest.mark.parametrize(
+    "gamma", [np.inf, np.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"]
+)
+def test_gamma_must_be_a_finite_positive_real(site, gamma):
+    with pytest.raises(ContractViolation, match="gamma"):
+        GAMMA_SITES[site](gamma)
+    accepted = GAMMA_SITES[site](np.float32(0.5))
+    assert type(accepted.gamma) is float and accepted.gamma == 0.5
+
+
 def test_batch_rejects_bad_labels_and_ids():
     with pytest.raises(ContractViolation):
         FeatureBatch([[1.0]], [[0.5]], [0])  # not one-hot

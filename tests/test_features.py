@@ -8,6 +8,7 @@ import pytest
 from ridgeforget import (
     ContractViolation,
     EncodedDataset,
+    FeatureBatch,
     FeatureExtractor,
     InputError,
     RawDataset,
@@ -88,11 +89,18 @@ def test_projection_is_frozen():
 
 def test_extract_rows_matches_per_row_extract_bitwise():
     rng = np.random.default_rng(15)
-    extractor = FeatureExtractor.from_seed(3, 5, 7)
-    inputs = rng.standard_normal((20, 5))
-    stacked = extractor.extract_rows(inputs)
-    for row in range(20):
-        assert np.array_equal(stacked[row], extractor.extract(inputs[row]))
+    shapes = [
+        (rng.standard_normal((20, 5)), 7),
+        (rng.standard_normal((40, 16)), 64),
+        (rng.standard_normal((30, 100)), 1024),
+        (rng.standard_normal((9, 1)), 1),
+        (rng.standard_normal((5, 30)).T, 7),  # transposed, non-contiguous
+    ]
+    for inputs, feature_dim in shapes:
+        extractor = FeatureExtractor.from_seed(3, inputs.shape[1], feature_dim)
+        stacked = extractor.extract_rows(inputs)
+        for row in range(len(inputs)):
+            assert np.array_equal(stacked[row], extractor.extract(inputs[row]))
 
 
 def test_projection_untouched_by_a_full_run():
@@ -178,6 +186,14 @@ def test_encode_rows_match_per_row_recomputation():
     encoded = encode(extractor, raw)
     for row in (3, 17):
         assert np.array_equal(encoded.features[row], extractor.extract(raw.inputs[row]))
+
+
+def test_encode_is_within_rounding_of_the_blas_product():
+    raw = generate_synthetic(SyntheticSpec(10, 400, 16, 0.1, 4))
+    extractor = FeatureExtractor.from_seed(9, 16, 64)
+    features = encode(extractor, raw).features
+    reference = np.maximum(raw.inputs @ extractor.projection, 0.0)
+    assert np.linalg.norm(features - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
 def test_encode_error_carries_row_index():
@@ -280,6 +296,66 @@ def test_subset_by_ids_matches_a_membership_loop():
         got = encoded.subset_by_ids(wanted)
         assert got.sample_ids.tolist() == ids[rows].tolist()
         assert np.array_equal(got.features, encoded.features[rows])
+
+
+_ROWS = np.arange(6.0).reshape(3, 2)
+_NAN_ROWS = np.where(_ROWS == 2.0, np.nan, _ROWS)  # row 1 is not finite
+_ONE_HOTS = np.eye(2)[[0, 1, 0]]
+
+
+def _raw(ids=(0, 1, 2)):
+    return RawDataset(ids, _ROWS, [0, 1, 0], 2)
+
+
+def _encoded(ids=(0, 1, 2), features=_ROWS, labels=(0, 1, 0), one_hots=_ONE_HOTS):
+    return EncodedDataset(ids, features, labels, one_hots, 2)
+
+
+def _batch(ids=(0, 1, 2), features=_ROWS):
+    return FeatureBatch(features, _ONE_HOTS, ids)
+
+
+def _from_features(labels):
+    return EncodedDataset.from_features((0, 1, 2), _ROWS, labels, 2)
+
+
+_SHARED_BAD_ROWS = {
+    "duplicate-id": {"ids": (0, 1, 1)},
+    "negative-id": {"ids": (0, -1, 2)},
+    "row-count": {"ids": (0, 1)},
+}
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, error, message",
+    [
+        pytest.param(
+            build, kwargs, ContractViolation, None, id=f"{build.__name__[1:]}-{name}"
+        )
+        for build in (_raw, _encoded, _batch)
+        for name, kwargs in _SHARED_BAD_ROWS.items()
+    ]
+    + [
+        pytest.param(
+            build, {"ids": (0, 7, 2), "features": _NAN_ROWS}, InputError,
+            "sample id 7 contain non-finite", id=f"{build.__name__[1:]}-non-finite",
+        )
+        for build in (_encoded, _batch)
+    ]
+    + [
+        pytest.param(_encoded, {"labels": (0, 0, 0)}, ContractViolation,
+                     "match label_indices", id="encoded-one-hots-disagree"),
+        pytest.param(_encoded, {"one_hots": np.eye(3)[[0, 1, 0]]}, ContractViolation,
+                     "width", id="encoded-one-hot-width"),
+        pytest.param(_from_features, {"labels": (0, 2, 0)}, ContractViolation,
+                     None, id="from-features-label-out-of-range"),
+        pytest.param(_from_features, {"labels": (0, -1, 0)}, ContractViolation,
+                     None, id="from-features-negative-label"),
+    ],
+)
+def test_every_row_container_rejects_bad_rows(build, kwargs, error, message):
+    with pytest.raises(error, match=message):
+        build(**kwargs)
 
 
 def test_feature_csv_with_nan_fails_at_load(tmp_path):
