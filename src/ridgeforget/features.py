@@ -13,6 +13,8 @@ Both round-trip through a CSV format selected by header prefix:
     id,label,f0,...,f{d-1}   pre-extracted features (extractor bypassed)
 
 Labels are 0-based integers.  Parse errors report 1-based line numbers.
+load_csv reads the body in one np.loadtxt pass, and leaves any input that
+pass would reject, or read differently, to a line-by-line parser.
 RawDataset, EncodedDataset and core's FeatureBatch check their row
 invariants (ids, row counts, finite features, one-hot rows) through one
 helper, core._check_rows; encode extracts a whole dataset in one product.
@@ -32,15 +34,6 @@ from .core import FeatureBatch, _as_matrix, _check_rows
 from .errors import ContractViolation, InputError
 
 NONLINEARITIES = ("relu", "identity")
-
-
-def one_hot(label: int, class_count: int) -> np.ndarray:
-    """Length-class_count vector with a single 1 at `label`."""
-    if not 0 <= label < class_count:
-        raise InputError(f"label {label} out of range [0, {class_count})")
-    vec = np.zeros(class_count)
-    vec[label] = 1.0
-    return vec
 
 
 @dataclass(frozen=True)
@@ -354,68 +347,116 @@ def load_csv(path, class_count: int | None = None):
     """Load a dataset CSV; the header's 3rd column picks the mode.
 
     Returns an EncodedDataset for `f`-prefixed columns or a RawDataset for
-    `x`-prefixed ones.  class_count defaults to max(label) + 1.
+    `x`-prefixed ones.  class_count defaults to max(label) + 1.  The body
+    is parsed in one np.loadtxt pass; any row that pass cannot take as-is
+    sends the whole body through the line parser, which accepts the same
+    inputs and names the line of the first bad row.
     """
     with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("line 1: file is empty, expected a header row")
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != "id" or header[1] != "label":
-            raise InputError(
-                "line 1: header must start with 'id,label' followed by "
-                "f0..f{d-1} or x0..x{m-1}"
-            )
-        prefix = header[2][:1]
-        if prefix not in ("f", "x"):
-            raise InputError(
-                f"line 1: data columns must start with 'f' or 'x', got "
-                f"{header[2]!r}"
-            )
-        width = len(header) - 2
-        expected = [f"{prefix}{k}" for k in range(width)]
-        if header[2:] != expected:
-            raise InputError(
-                f"line 1: data columns must be exactly {prefix}0..{prefix}{width - 1}"
-            )
-        ids, labels, rows = [], [], []
-        seen = {}
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != width + 2:
-                raise InputError(
-                    f"line {lineno}: expected {width + 2} fields, got {len(record)}"
-                )
-            try:
-                sample_id = int(record[0])
-                label = int(record[1])
-                values = [float(v) for v in record[2:]]
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: {exc}") from exc
-            if sample_id < 0:
-                raise InputError(f"line {lineno}: id must be non-negative")
-            if label < 0:
-                raise InputError(f"line {lineno}: label must be non-negative")
-            if sample_id in seen:
-                raise InputError(
-                    f"line {lineno}: duplicate id {sample_id} "
-                    f"(first seen on line {seen[sample_id]})"
-                )
-            seen[sample_id] = lineno
-            ids.append(sample_id)
-            labels.append(label)
-            rows.append(values)
-    n_classes = (max(labels) + 1 if labels else 0) if class_count is None else class_count
-    if labels and max(labels) >= n_classes:
+        lines = handle.readlines()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("line 1: file is empty, expected a header row")
+    header = [h.strip() for h in header]
+    if len(header) < 3 or header[0] != "id" or header[1] != "label":
         raise InputError(
-            f"label {max(labels)} out of range for class_count {n_classes}"
+            "line 1: header must start with 'id,label' followed by "
+            "f0..f{d-1} or x0..x{m-1}"
         )
-    values = np.array(rows) if rows else np.zeros((0, width))
+    prefix = header[2][:1]
+    if prefix not in ("f", "x"):
+        raise InputError(
+            f"line 1: data columns must start with 'f' or 'x', got {header[2]!r}"
+        )
+    width = len(header) - 2
+    expected = [f"{prefix}{k}" for k in range(width)]
+    if header[2:] != expected:
+        raise InputError(
+            f"line 1: data columns must be exactly {prefix}0..{prefix}{width - 1}"
+        )
+    body = lines[reader.line_num :]
+    ids, labels, values = _parse_body(body, width) or _parse_lines(body, width)
+    if class_count is None:
+        class_count = int(labels.max()) + 1 if labels.size else 0
+    if labels.size and labels.max() >= class_count:
+        raise InputError(
+            f"label {labels.max()} out of range for class_count {class_count}"
+        )
     if prefix == "x":
-        return RawDataset(np.array(ids, dtype=np.int64), values, labels, n_classes)
-    return EncodedDataset.from_features(
-        np.array(ids, dtype=np.int64), values, labels, n_classes
+        return RawDataset(ids, values, labels, class_count)
+    return EncodedDataset.from_features(ids, values, labels, class_count)
+
+
+# numpy strips these ASCII separators as whitespace; int() and float() reject
+# them.  (numpy's integer parser also reads many non-ASCII characters as
+# digits, so the fast path only sees ASCII.)
+_LINE_PARSER_ONLY = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_body(body: list, width: int):
+    """(ids, labels, values) from one np.loadtxt pass over the data lines,
+    or None where the line parser must decide: no data rows, text numpy
+    would read differently, a row numpy rejects, or rows the line parser
+    rejects once parsed (negative or repeated ids, negative labels)."""
+    text = "".join(body)
+    if (
+        not any(line.strip("\r\n") for line in body)
+        or not text.isascii()
+        or any(sep in text for sep in _LINE_PARSER_ONLY)
+        or max(map(len, body)) > csv.field_size_limit()
+    ):
+        return None
+    row = np.dtype(
+        [("id", np.int64), ("label", np.int64), ("values", np.float64, (width,))]
+    )
+    try:
+        parsed = np.loadtxt(
+            body, dtype=row, delimiter=",", comments=None, ndmin=1, encoding="utf-8"
+        )
+    except (ValueError, OverflowError):
+        return None
+    ids, labels = parsed["id"], parsed["label"]
+    if (ids < 0).any() or (labels < 0).any() or np.unique(ids).size != ids.size:
+        return None
+    return ids, labels, parsed["values"]
+
+
+def _parse_lines(body: list, width: int):
+    """(ids, labels, values) parsed line by line; the first bad row raises
+    an InputError naming its 1-based line."""
+    ids, labels, rows = [], [], []
+    seen = {}
+    for lineno, record in enumerate(csv.reader(body), start=2):
+        if not record:
+            continue
+        if len(record) != width + 2:
+            raise InputError(
+                f"line {lineno}: expected {width + 2} fields, got {len(record)}"
+            )
+        try:
+            sample_id = int(record[0])
+            label = int(record[1])
+            values = [float(v) for v in record[2:]]
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+        for name, number in (("id", sample_id), ("label", label)):
+            if number < 0:
+                raise InputError(f"line {lineno}: {name} must be non-negative")
+            if number >= 2**63:
+                raise InputError(f"line {lineno}: {name} must be below 2**63")
+        if sample_id in seen:
+            raise InputError(
+                f"line {lineno}: duplicate id {sample_id} "
+                f"(first seen on line {seen[sample_id]})"
+            )
+        seen[sample_id] = lineno
+        ids.append(sample_id)
+        labels.append(label)
+        rows.append(values)
+    return (
+        np.array(ids, dtype=np.int64),
+        np.array(labels, dtype=np.int64),
+        np.array(rows, dtype=np.float64).reshape(-1, width),
     )

@@ -18,8 +18,10 @@ exposing partial state; an unknown format_version raises VersionError.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -47,7 +49,11 @@ def _payload_bytes(state: EngineState, learned: np.ndarray, forgotten: np.ndarra
 
 
 def save_state(state: EngineState, path) -> None:
-    """Write `state` to `path` in the versioned checksummed container."""
+    """Write `state` to `path` in the versioned checksummed container.
+
+    The file is written and fsynced under a temporary name in the same
+    directory, then renamed over `path`, so a crash or a failed write
+    leaves any earlier file at `path` whole."""
     learned = np.array(sorted(state.ledger.learned_ids), dtype=np.int64)
     forgotten = np.array(sorted(state.ledger.forgotten_ids), dtype=np.int64)
     payload = _payload_bytes(state, learned, forgotten)
@@ -71,11 +77,21 @@ def save_state(state: EngineState, path) -> None:
         "payload_checksum": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<I", len(header_bytes)))
-        handle.write(header_bytes)
-        handle.write(payload)
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    # written beside `path` so that os.replace swaps it in atomically
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes)
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
 
 
 def load_state(path) -> EngineState:

@@ -110,6 +110,13 @@ def test_non_finite_features_exit_1(tmp_path, capsys):
     assert "sample id 1 contain non-finite" in capsys.readouterr().err
 
 
+def test_id_beyond_int64_exits_1(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("id,label,f0\n0,0,0.5\n9223372036854775808,1,1.0\n", encoding="utf-8")
+    assert run_cli("run", "--data", data, "--forget-total", 1, "--requests", 1) == 1
+    assert "error: line 3: id must be below 2**63" in capsys.readouterr().err
+
+
 def test_infinite_gamma_exits_1(tmp_path, data_files, capsys):
     train, _ = data_files
     code = run_cli(

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,31 +19,9 @@ from ridgeforget import (
     generate_synthetic,
     joint_fit,
     load_csv,
-    one_hot,
     write_csv,
 )
-
-# ------------------------------------------------------------------ one_hot
-
-
-def test_one_hot_examples():
-    assert np.array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(one_hot(0, 1), [1.0])
-
-
-def test_one_hot_exhaustive_small_range():
-    for k in range(10):
-        vec = one_hot(k, 10)
-        assert vec.sum() == 1.0
-        assert int(np.argmax(vec)) == k
-
-
-def test_one_hot_out_of_range():
-    with pytest.raises(InputError):
-        one_hot(4, 4)
-    with pytest.raises(InputError):
-        one_hot(-1, 4)
-
+from ridgeforget import features
 
 # -------------------------------------------------------------- extractor
 
@@ -444,3 +423,93 @@ def test_csv_class_count_override(tmp_path):
     assert loaded.class_count == 4
     with pytest.raises(InputError):
         load_csv(path, class_count=1)
+
+
+def test_csv_ids_and_labels_beyond_int64_name_their_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(
+        "id,label,x0\n0,0,1.0\n9223372036854775807,0,1.0\n9223372036854775808,1,2.0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(InputError, match=r"line 4: id must be below 2\*\*63"):
+        load_csv(path)
+    path.write_text("id,label,x0\n0,9223372036854775808,1.0\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"line 2: label must be below 2\*\*63"):
+        load_csv(path)
+
+
+_F = "id,label,f0,f1\n"
+_X = "id,label,x0,x1\n"
+
+
+def _csv_outcome(path, class_count):
+    """What load_csv makes of `path`: the dataset's type, class count and
+    array bytes, or the exception's type and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = load_csv(path, class_count)
+    except Exception as exc:  # any failure is an outcome to compare
+        return type(exc), str(exc)
+    if isinstance(data, RawDataset):
+        arrays = (data.sample_ids, data.labels, data.inputs)
+    else:
+        arrays = (data.sample_ids, data.label_indices, data.features)
+    return type(data), data.class_count, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize(
+    "text, class_count, numpy_parses",
+    [
+        pytest.param(_F + "0,1,0.5,1.5\r\n\r\n2,0,-1,2\r\n\n", None, True,
+                     id="crlf-and-blank-lines"),
+        pytest.param(_F + "0,1,0.5,1.5\n   \n2,0,1,2\n", None, False,
+                     id="whitespace-only-line"),
+        pytest.param(_F + "0,1,0.5,1.5,\n", None, False, id="trailing-comma"),
+        pytest.param(_F + "0,1,0.5\n", None, False, id="too-few-fields"),
+        pytest.param(_F + "0,1,0.5,1.5,2.5\n", None, False, id="too-many-fields"),
+        pytest.param(_F + "0,1,,1.5\n", None, False, id="empty-field"),
+        pytest.param(_F + '"0",1,"0.5",1.5\n', None, False, id="quoted-field"),
+        pytest.param(_F + "1_0,1,0.5,1.5\n", None, False, id="underscore-id"),
+        pytest.param(_F + "0,1,1_0.5,1.5\n", None, False, id="underscore-value"),
+        pytest.param(_F + "\u0661\u0662,1,0.5,1.5\n", None, False, id="unicode-digit-id"),
+        pytest.param(_F + "0,1,\u0663.5,1.5\n", None, False, id="unicode-digit-value"),
+        pytest.param(_F + "\u01fe1,1,0.5,1.5\n", None, False, id="non-ascii-letter-id"),
+        pytest.param(_F + "0,1,\x1c0.5,1.5\n", None, False, id="ascii-separator-value"),
+        pytest.param(_F + "0,1,0." + "0" * 140_000 + "1,1.5\n", None, False,
+                     id="field-over-csv-size-limit"),
+        pytest.param(_F + " +5 ,1,0.5,1.5\n", None, True, id="signed-padded-id"),
+        pytest.param(_F + "0,1,0.5,1.5\n1,0,nan,inf\n", None, True, id="nan-inf-features"),
+        pytest.param(_X + "0,1,nan,-inf\n1,0,-nan,Infinity\n", None, True,
+                     id="nan-inf-raw"),
+        pytest.param(_F + "0,1,0.5,1.5\n-3,0,1,2\n", None, False, id="negative-id"),
+        pytest.param(_F + "0,1,0.5,1.5\n3,0,1,2\n0,1,1,1\n", None, False,
+                     id="duplicate-id"),
+        pytest.param(_F + "0,1,0.5,1.5\n3,-1,1,2\n", None, False, id="negative-label"),
+        pytest.param(_F + "9223372036854775808,1,0.5,1.5\n", None, False,
+                     id="int64-overflow-id"),
+        pytest.param(_F + "9223372036854775807,1,0.5,1.5\n", None, True, id="int64-max-id"),
+        pytest.param(_F + "1.0,1,0.5,1.5\n", None, False, id="float-id"),
+        pytest.param(_F, None, False, id="header-only"),
+        pytest.param(_F + "\n\r\n", None, False, id="blank-lines-only"),
+        pytest.param(_X + "7,2,0.25,-3e-5", None, True, id="single-row-no-newline"),
+        pytest.param(_F + "0,1,0.5,1.5\n", 4, True, id="class-count-override"),
+        pytest.param(_F + "0,1,0.5,1.5\n", 1, True, id="class-count-too-small"),
+    ],
+)
+def test_load_csv_agrees_with_the_line_parser(
+    tmp_path, monkeypatch, text, class_count, numpy_parses
+):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    numpy_pass, taken = features._parse_body, []
+
+    def spy(*args):
+        taken.append(numpy_pass(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(features, "_parse_body", spy)
+    got = _csv_outcome(path, class_count)
+    assert (taken[0] is not None) == numpy_parses
+    monkeypatch.setattr(features, "_parse_body", lambda *a: None)
+    assert got == _csv_outcome(path, class_count)

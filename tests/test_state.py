@@ -15,6 +15,7 @@ from ridgeforget import (
     run_stream,
     save_state,
 )
+from ridgeforget import state as state_module
 from ridgeforget.state import MAGIC
 from test_harness import make_dataset
 
@@ -130,3 +131,51 @@ def test_state_without_extractor_round_trips(tmp_path):
     path = tmp_path / "noext.state"
     save_state(state, path)
     assert load_state(path).extractor is None
+
+
+class _PayloadWriteFails:
+    """A binary file whose second write, the payload, stops half way."""
+
+    def __init__(self, path, mode):
+        self._file = open(path, mode)
+        self._writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            self._file.write(data[: len(data) // 2])
+            raise OSError("disk full")
+        return self._file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+
+def _disk_full(*args):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failing", ["payload-write", "fsync", "replace"])
+def test_failed_save_leaves_the_old_state_whole(tmp_path, monkeypatch, failing):
+    path = tmp_path / "run.state"
+    save_state(EngineState.fresh(6, 3, 1e-3), path)
+    before = path.read_bytes()
+    _, _, state = run_to_state(seed=3)
+    if failing == "payload-write":
+        monkeypatch.setattr(state_module, "open", _PayloadWriteFails, raising=False)
+    else:
+        monkeypatch.setattr(state_module.os, failing, _disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        save_state(state, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.state"]
+    monkeypatch.undo()
+    save_state(state, path)
+    assert_states_equal(load_state(path), state)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.state"]
