@@ -30,12 +30,7 @@ from .features import (
     load_csv,
     write_csv,
 )
-from .harness import (
-    RunOptions,
-    build_forget_stream,
-    build_stream,
-    run_stream,
-)
+from .harness import EngineState, build_forget_stream, build_stream, run_stream
 from .state import load_state, save_state
 from .verify import GAP_CSV_HEADER, gap_report
 
@@ -50,22 +45,17 @@ def _derive_extractor_seed(seed: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _encode_dataset(path, extractor, feature_dim, nonlinearity, seed, class_count=None):
-    """Load a CSV; raw inputs are pushed through the extractor (built from
-    the run seed unless one is supplied).  Returns (encoded, extractor)."""
+def _encode_dataset(path, extractor, class_count=None):
+    """Load a CSV; raw inputs are pushed through `extractor`."""
     dataset = load_csv(path, class_count=class_count)
     if isinstance(dataset, EncodedDataset):
-        return dataset, extractor
+        return dataset
     if extractor is None:
-        if feature_dim is None or nonlinearity is None:
-            raise InputError(
-                f"{path} holds raw inputs but no extractor is available; "
-                "use a feature-mode CSV or a state saved with an extractor"
-            )
-        extractor = FeatureExtractor.from_seed(
-            _derive_extractor_seed(seed), dataset.input_dim, feature_dim, nonlinearity
+        raise InputError(
+            f"{path} holds raw inputs but no extractor is available; "
+            "use a feature-mode CSV or a state saved with an extractor"
         )
-    return encode(extractor, dataset, class_count=class_count), extractor
+    return encode(extractor, dataset, class_count=class_count)
 
 
 def _write_run_report(path, record):
@@ -99,33 +89,44 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    encoded, extractor = _encode_dataset(
-        args.data, None, args.feature_dim, args.nonlinearity, args.seed
-    )
+def _advance(args, state, encoded, stream, state_path):
+    """The tail `run` and `resume` share: encode --test-data with the
+    state's extractor, run the stream on `state`, write the report and save
+    the state (when `state_path` is set).  Returns the RunRecord."""
     test_rows = None
     if args.test_data is not None:
-        test_rows, _ = _encode_dataset(
-            args.test_data, extractor, args.feature_dim, args.nonlinearity,
-            args.seed, class_count=encoded.class_count,
+        test_rows = _encode_dataset(
+            args.test_data, state.extractor, class_count=encoded.class_count
         )
     if args.verify_every > 0 and test_rows is None:
         raise InputError("--verify-every > 0 requires --test-data")
+    record, _ = run_stream(
+        stream, state, verify_every=args.verify_every,
+        dataset=encoded, test_rows=test_rows,
+    )
+    if args.out:
+        _write_run_report(args.out, record)
+    if state_path:
+        save_state(state, state_path)
+    return record
+
+
+def _cmd_run(args) -> int:
+    encoded = load_csv(args.data)
+    extractor = None
+    if isinstance(encoded, RawDataset):  # the extractor comes from the run seed
+        extractor = FeatureExtractor.from_seed(
+            _derive_extractor_seed(args.seed), encoded.input_dim,
+            args.feature_dim, args.nonlinearity,
+        )
+        encoded = encode(extractor, encoded)
+    state = EngineState.fresh(
+        encoded.feature_dim, encoded.class_count, args.gamma, extractor
+    )
     stream = build_stream(
         encoded, args.learn_chunks, args.forget_total, args.requests, args.seed
     )
-    record, state = run_stream(
-        stream,
-        args.gamma,
-        RunOptions(verify_every=args.verify_every),
-        dataset=encoded,
-        test_rows=test_rows,
-    )
-    state.extractor = extractor
-    if args.out:
-        _write_run_report(args.out, record)
-    if args.state:
-        save_state(state, args.state)
+    record = _advance(args, state, encoded, stream, args.state)
     reports = record.reports()
     worst = max((r.max_delta() for r in reports), default=None)
     print(
@@ -140,12 +141,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     state = load_state(args.state)
-    encoded, _ = _encode_dataset(
-        args.data, state.extractor, None, None, 0,
-    )
-    test_rows, _ = _encode_dataset(
-        args.test_data, state.extractor, None, None, 0,
-        class_count=encoded.class_count,
+    encoded = _encode_dataset(args.data, state.extractor)
+    test_rows = _encode_dataset(
+        args.test_data, state.extractor, class_count=encoded.class_count
     )
     report = gap_report(state.model, encoded, state.ledger, test_rows, 0)
     lines = [GAP_CSV_HEADER, report.to_csv_row()]
@@ -181,30 +179,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_resume(args) -> int:
     state = load_state(args.state)
-    encoded, _ = _encode_dataset(args.data, state.extractor, None, None, 0)
-    test_rows = None
-    if args.test_data is not None:
-        test_rows, _ = _encode_dataset(
-            args.test_data, state.extractor, None, None, 0,
-            class_count=encoded.class_count,
-        )
-    if args.verify_every > 0 and test_rows is None:
-        raise InputError("--verify-every > 0 requires --test-data")
+    encoded = _encode_dataset(args.data, state.extractor)
     stream = build_forget_stream(
         encoded, state.ledger.retained_ids, args.forget_total, args.requests,
         args.seed,
     )
-    record, state = run_stream(
-        stream,
-        state.gamma,
-        RunOptions(verify_every=args.verify_every),
-        initial_state=state,
-        dataset=encoded,
-        test_rows=test_rows,
-    )
-    if args.out:
-        _write_run_report(args.out, record)
-    save_state(state, args.state_out or args.state)
+    record = _advance(args, state, encoded, stream, args.state_out or args.state)
     print(
         f"resumed: {len(stream.forget_requests)} forget requests in "
         f"{record.cumulative_time_seconds:.4f}s of update time"

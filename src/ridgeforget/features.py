@@ -350,15 +350,27 @@ def load_csv(path, class_count: int | None = None):
     `x`-prefixed ones.  class_count defaults to max(label) + 1.  The body
     is parsed in one np.loadtxt pass; any row that pass cannot take as-is
     sends the whole body through the line parser, which accepts the same
-    inputs and names the line of the first bad row.
+    inputs and names the line of the first bad row.  A line that is not
+    UTF-8, or a field over the csv module's size limit, is an InputError
+    naming its line too.
     """
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        lines = handle.readlines()
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        try:
+            lines[index] = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"line {index + 1}: not valid UTF-8 "
+                f"(byte {exc.start + 1} of the line: {exc.reason})"
+            ) from exc
     reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
         raise InputError("line 1: file is empty, expected a header row")
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from exc
     header = [h.strip() for h in header]
     if len(header) < 3 or header[0] != "id" or header[1] != "label":
         raise InputError(
@@ -423,12 +435,22 @@ def _parse_body(body: list, width: int):
     return ids, labels, parsed["values"]
 
 
+def _csv_records(body: list):
+    """csv records of the data lines; a csv.Error becomes an InputError
+    naming its 1-based file line (the header is line 1)."""
+    reader = csv.reader(body)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num + 1}: {exc}") from exc
+
+
 def _parse_lines(body: list, width: int):
     """(ids, labels, values) parsed line by line; the first bad row raises
     an InputError naming its 1-based line."""
     ids, labels, rows = [], [], []
     seen = {}
-    for lineno, record in enumerate(csv.reader(body), start=2):
+    for lineno, record in enumerate(_csv_records(body), start=2):
         if not record:
             continue
         if len(record) != width + 2:

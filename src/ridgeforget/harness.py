@@ -1,11 +1,12 @@
 """Request-stream driver: learn phases, forget phases, timing, verification.
 
-A run starts from the empty-state pair (W = 0, T = (gamma I)^(-1)) or from a
-restored snapshot, absorbs the learn batches in order, then processes the
-forget batches in order, timing only the update calls (verification is
-oracle overhead and is excluded).  The harness adds no mathematics of its
-own: every request is exactly one tracking update plus one weight update
-from the core module.
+The caller owns the EngineState: a new run starts from EngineState.fresh
+(W = 0, T = (gamma I)^(-1)), a resumed one from load_state, and run_stream
+advances that one state in place.  It absorbs the learn batches in order,
+then processes the forget batches in order, timing only the update calls
+(verification is oracle overhead and is excluded).  The harness adds no
+mathematics of its own: every request is exactly one tracking update plus
+one weight update from the core module.
 """
 
 from __future__ import annotations
@@ -61,12 +62,18 @@ class RequestStream:
                 )
         return dims
 
-    def validate(self, ledger: SampleLedger | None = None) -> None:
-        """Enforce stream invariants before any request executes: the ids
-        are replayed on a copy of `ledger`, so a resumed state's learned and
-        forgotten ids count too."""
-        self.batch_dims()
-        replay = ledger.copy() if ledger is not None else SampleLedger()
+    def validate(self, state: EngineState) -> None:
+        """Enforce stream invariants before any request executes: every
+        batch has the state's dimensions, and the ids are replayed on a copy
+        of the state's ledger, so a resumed state's learned and forgotten
+        ids count too."""
+        dims = self.batch_dims()
+        expected = (state.model.feature_dim, state.model.class_count)
+        if dims is not None and dims != expected:
+            raise ContractViolation(
+                f"stream dims {dims} do not match state dims {expected}"
+            )
+        replay = state.ledger.copy()
         for batch in self.learn_requests:
             replay.record_learn(batch.sample_ids)
         for batch in self.forget_requests:
@@ -85,7 +92,10 @@ class RequestRecord:
 @dataclass
 class RunRecord:
     per_request: list = field(default_factory=list)
-    cumulative_time_seconds: float = 0.0
+
+    @property
+    def cumulative_time_seconds(self) -> float:
+        return sum(r.wall_time_seconds for r in self.per_request)
 
     def reports(self):
         return [r.report for r in self.per_request if r.report is not None]
@@ -94,11 +104,6 @@ class RunRecord:
         return sum(
             r.wall_time_seconds for r in self.per_request if r.kind == "forget"
         )
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    verify_every: int = 0
 
 
 @dataclass
@@ -133,6 +138,25 @@ class EngineState:
                    SampleLedger(), extractor)
 
 
+def _forget_batches(
+    dataset: EncodedDataset, forget_total: int, forget_requests: int, seed: int
+) -> tuple:
+    """Sample a forget pool of `forget_total` rows of `dataset` under `seed`
+    and split it, in draw order, into `forget_requests` disjoint batches."""
+    if forget_requests < 1:
+        raise InputError(f"forget_requests must be >= 1, got {forget_requests}")
+    if forget_total < 0 or forget_total > len(dataset):
+        raise InputError(
+            f"forget_total must lie in [0, {len(dataset)}], got {forget_total}"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    pool = rng.choice(len(dataset), size=forget_total, replace=False)
+    return tuple(
+        dataset.subset(part).to_batch()
+        for part in np.array_split(pool, forget_requests)
+    )
+
+
 def build_stream(
     dataset: EncodedDataset,
     learn_chunks: int,
@@ -148,29 +172,13 @@ def build_stream(
     """
     if learn_chunks < 1:
         raise InputError(f"learn_chunks must be >= 1, got {learn_chunks}")
-    if forget_requests < 1:
-        raise InputError(f"forget_requests must be >= 1, got {forget_requests}")
-    if forget_total < 0 or forget_total > len(dataset):
-        raise InputError(
-            f"forget_total must lie in [0, {len(dataset)}], got {forget_total}"
-        )
-    rng_learn = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-    )
-    order = rng_learn.permutation(len(dataset))
-    learn_batches = [
+    forget_batches = _forget_batches(dataset, forget_total, forget_requests, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    learn_batches = tuple(
         dataset.subset(chunk).to_batch()
-        for chunk in np.array_split(order, learn_chunks)
-    ]
-    rng_forget = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(1,))
+        for chunk in np.array_split(rng.permutation(len(dataset)), learn_chunks)
     )
-    pool = rng_forget.choice(len(dataset), size=forget_total, replace=False)
-    forget_batches = [
-        dataset.subset(part).to_batch()
-        for part in np.array_split(pool, forget_requests)
-    ]
-    return RequestStream(tuple(learn_batches), tuple(forget_batches))
+    return RequestStream(learn_batches, forget_batches)
 
 
 def build_forget_stream(
@@ -180,72 +188,37 @@ def build_forget_stream(
     forget_requests: int,
     seed: int,
 ) -> RequestStream:
-    """Forget-only stream drawn from `eligible_ids` (resume path)."""
-    eligible = np.array(sorted(int(i) for i in eligible_ids), dtype=np.int64)
-    if forget_requests < 1:
-        raise InputError(f"forget_requests must be >= 1, got {forget_requests}")
-    if forget_total < 0 or forget_total > eligible.size:
-        raise InputError(
-            f"forget_total must lie in [0, {eligible.size}], got {forget_total}"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    pool = rng.choice(eligible, size=forget_total, replace=False)
-    forget_batches = [
-        dataset.subset_by_ids(part).to_batch()
-        for part in np.array_split(pool, forget_requests)
-    ]
-    return RequestStream((), tuple(forget_batches))
+    """Forget-only stream drawn from the rows of `eligible_ids` (resume
+    path); the pool is drawn from those rows in id order."""
+    eligible = dataset.subset_by_ids(eligible_ids)
+    eligible = eligible.subset(np.argsort(eligible.sample_ids))
+    return RequestStream(
+        (), _forget_batches(eligible, forget_total, forget_requests, seed)
+    )
 
 
 def run_stream(
     stream: RequestStream,
-    gamma: float = DEFAULT_GAMMA,
-    options: RunOptions | None = None,
+    state: EngineState,
     *,
-    initial_state: EngineState | None = None,
+    verify_every: int = 0,
     dataset: EncodedDataset | None = None,
     test_rows: EncodedDataset | None = None,
-    feature_dim: int | None = None,
-    class_count: int | None = None,
 ):
-    """Execute every learn request, then every forget request, in order.
+    """Execute every learn request, then every forget request, in order,
+    advancing `state` in place.
 
-    Returns (RunRecord, EngineState).  When options.verify_every = v > 0, a
-    gap report against the retrained oracle is attached to every v-th
-    forget request (requires `dataset` and `test_rows`).  Wall time covers
-    only the tracking/weight update calls.  A failing request aborts the
-    run with its index; the returned-by-reference state stays at the last
-    completed request.
+    Returns (RunRecord, state).  When verify_every = v > 0, a gap report
+    against the retrained oracle is attached to every v-th forget request
+    (requires `dataset` and `test_rows`).  Wall time covers only the
+    tracking/weight update calls.  A failing request aborts the run with its
+    index; `state` stays at the last completed request.
     """
-    options = options or RunOptions()
-    if options.verify_every < 0:
-        raise InputError(f"verify_every must be >= 0, got {options.verify_every}")
-    if options.verify_every > 0 and (dataset is None or test_rows is None):
+    if verify_every < 0:
+        raise InputError(f"verify_every must be >= 0, got {verify_every}")
+    if verify_every > 0 and (dataset is None or test_rows is None):
         raise InputError("verification requires dataset and test_rows")
-    dims = stream.batch_dims()
-    if initial_state is not None:
-        if initial_state.gamma != gamma:
-            raise ContractViolation(
-                f"gamma {gamma!r} does not match state gamma "
-                f"{initial_state.gamma!r}"
-            )
-        state = initial_state
-    else:
-        if dims is None:
-            if feature_dim is None or class_count is None:
-                raise ContractViolation(
-                    "empty stream needs explicit feature_dim and class_count"
-                )
-            dims = (feature_dim, class_count)
-        state = EngineState.fresh(dims[0], dims[1], gamma)
-    if dims is not None and (
-        dims[0] != state.model.feature_dim or dims[1] != state.model.class_count
-    ):
-        raise ContractViolation(
-            f"stream dims {dims} do not match state dims "
-            f"({state.model.feature_dim}, {state.model.class_count})"
-        )
-    stream.validate(state.ledger)
+    stream.validate(state)
 
     record = RunRecord()
 
@@ -259,7 +232,6 @@ def run_stream(
             raise RunAbortedError("learn", index, exc) from exc
         state.tracking, state.model = new_tracking, new_model
         record.per_request.append(RequestRecord("learn", index, len(batch), elapsed))
-        record.cumulative_time_seconds += elapsed
 
     for index, batch in enumerate(stream.forget_requests, start=1):
         try:
@@ -272,12 +244,11 @@ def run_stream(
             raise RunAbortedError("forget", index, exc) from exc
         state.tracking, state.model = new_tracking, new_model
         report = None
-        if options.verify_every > 0 and index % options.verify_every == 0:
+        if verify_every > 0 and index % verify_every == 0:
             report = gap_report(state.model, dataset, state.ledger, test_rows, index)
         record.per_request.append(
             RequestRecord("forget", index, len(batch), elapsed, report)
         )
-        record.cumulative_time_seconds += elapsed
 
     return record, state
 

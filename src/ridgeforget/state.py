@@ -53,7 +53,8 @@ def save_state(state: EngineState, path) -> None:
 
     The file is written and fsynced under a temporary name in the same
     directory, then renamed over `path`, so a crash or a failed write
-    leaves any earlier file at `path` whole."""
+    leaves any earlier file at `path` whole.  The directory is fsynced
+    after the rename, so that the rename itself survives a power cut."""
     learned = np.array(sorted(state.ledger.learned_ids), dtype=np.int64)
     forgotten = np.array(sorted(state.ledger.forgotten_ids), dtype=np.int64)
     payload = _payload_bytes(state, learned, forgotten)
@@ -92,6 +93,11 @@ def save_state(state: EngineState, path) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temp)
         raise
+    fd = os.open(directory or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_state(path) -> EngineState:

@@ -7,7 +7,7 @@ bug cannot hide on both sides of a comparison.
 
 import numpy as np
 
-from ridgeforget import FeatureBatch
+from ridgeforget import EngineState, FeatureBatch
 
 
 def rand_batch(rng, n, d_f, d_c, id_start=0):
@@ -17,6 +17,11 @@ def rand_batch(rng, n, d_f, d_c, id_start=0):
         labels[np.arange(n), rng.integers(0, d_c, n)] = 1.0
     ids = np.arange(id_start, id_start + n, dtype=np.int64)
     return FeatureBatch(features, labels, ids)
+
+
+def fresh_state(stream, gamma):
+    """An empty EngineState with the stream's dimensions."""
+    return EngineState.fresh(*stream.batch_dims(), gamma)
 
 
 def batch_union(*batches):

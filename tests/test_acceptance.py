@@ -12,13 +12,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from _helpers import rand_batch, rel_fro, solve_weights_oracle
+from _helpers import fresh_state, rand_batch, rel_fro, solve_weights_oracle
 
 from ridgeforget import (
     FeatureBatch,
     FeatureExtractor,
     RequestStream,
-    RunOptions,
     SyntheticSpec,
     bench_scaling,
     build_stream,
@@ -127,8 +126,8 @@ def desk_results():
         stream = desk_stream(train, seed)
         record, _ = run_stream(
             stream,
-            DESK_GAMMA,
-            RunOptions(verify_every=1),
+            fresh_state(stream, DESK_GAMMA),
+            verify_every=1,
             dataset=train,
             test_rows=test,
         )
@@ -302,12 +301,12 @@ def test_criterion_request_count_robustness():
         train, _ = desk_data(3)
         stream25 = desk_stream(train, 3, requests=25)
         stream50 = desk_stream(train, 3, requests=50)
-        run_stream(stream25, DESK_GAMMA)  # warm-up
+        run_stream(stream25, fresh_state(stream25, DESK_GAMMA))  # warm-up
         times = {}
         for key, stream in (("k25", stream25), ("k50", stream50)):
             samples = []
             for _ in range(3):
-                record, _ = run_stream(stream, DESK_GAMMA)
+                record, _ = run_stream(stream, fresh_state(stream, DESK_GAMMA))
                 samples.append(record.forget_time_seconds())
             times[key] = float(np.mean(samples))
         assert times["k50"] <= 2.5 * times["k25"], times
@@ -321,14 +320,14 @@ def test_criterion_resumability_is_bit_exact(tmp_path):
             rng = np.random.default_rng(1000 + seed)
             dataset = make_dataset(rng, 80, 6, 3)
             stream = build_stream(dataset, 4, 30, 6, seed=seed)
-            _, straight = run_stream(stream, DESK_GAMMA)
+            _, straight = run_stream(stream, fresh_state(stream, DESK_GAMMA))
 
             first = RequestStream(stream.learn_requests, stream.forget_requests[:3])
             second = RequestStream((), stream.forget_requests[3:])
-            _, half = run_stream(first, DESK_GAMMA)
+            _, half = run_stream(first, fresh_state(first, DESK_GAMMA))
             path = tmp_path / f"resume-{seed}.state"
             save_state(half, path)
-            _, final = run_stream(second, DESK_GAMMA, initial_state=load_state(path))
+            _, final = run_stream(second, load_state(path))
             assert np.array_equal(final.model.weights, straight.model.weights)
             assert np.array_equal(
                 final.tracking.matrix, straight.tracking.matrix

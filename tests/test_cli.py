@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from ridgeforget import load_state
 from ridgeforget.cli import main
 
 
@@ -117,6 +118,19 @@ def test_id_beyond_int64_exits_1(tmp_path, capsys):
     assert "error: line 3: id must be below 2**63" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [(b"1,1,\xff2.0\n", "line 3: not valid UTF-8"),
+     (b"1,1,0." + b"0" * 140_000 + b"1\n", "line 3: field larger than field limit")],
+    ids=["non-utf8-byte", "field-over-csv-size-limit"],
+)
+def test_unreadable_csv_exits_1(tmp_path, capsys, body, message):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"id,label,f0\n0,0,0.5\n" + body)
+    assert run_cli("run", "--data", data, "--forget-total", 1, "--requests", 1) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_infinite_gamma_exits_1(tmp_path, data_files, capsys):
     train, _ = data_files
     code = run_cli(
@@ -166,4 +180,45 @@ def test_gen_data_is_deterministic(tmp_path, capsys):
             "--seed", 42, "--out", path,
         ) == 0
     assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+
+
+def test_run_with_feature_data_and_raw_test_data_exits_1(tmp_path, data_files, capsys):
+    _, test = data_files
+    features = tmp_path / "features.csv"
+    rows = "".join(f"{i},{i},0.5,{i}.25\n" for i in range(4))  # test.csv's 4 classes
+    features.write_text("id,label,f0,f1\n" + rows, encoding="utf-8")
+    state = tmp_path / "run.state"
+    code = run_cli(
+        "run", "--data", features, "--test-data", test, "--forget-total", 1,
+        "--requests", 1, "--state", state,
+    )
+    assert code == 1
+    assert "holds raw inputs but no extractor is available" in capsys.readouterr().err
+    assert not state.exists()
+
+
+def _resume(state, train, *extra):
+    return run_cli(
+        "resume", "--state", state, "--data", train, "--forget-total", 10,
+        "--requests", 2, "--seed", 5, *extra,
+    )
+
+
+def test_resume_writes_state_out_and_leaves_its_input_whole(tmp_path, data_files, capsys):
+    train, _ = data_files
+    state = tmp_path / "run.state"
+    assert run_cli(
+        "run", "--data", train, "--forget-total", 20, "--requests", 2,
+        "--feature-dim", 16, "--state", state,
+    ) == 0
+    before = state.read_bytes()
+    out = tmp_path / "resumed.state"
+    assert _resume(state, train, "--state-out", out) == 0
+    assert state.read_bytes() == before
+    resumed = load_state(out)
+    assert len(resumed.ledger.forgotten_ids) == 30
+    # without --state-out, resume overwrites its input with the same result
+    assert _resume(state, train) == 0
+    assert state.read_bytes() == out.read_bytes()
     capsys.readouterr()

@@ -83,6 +83,8 @@ def test_extract_rows_matches_per_row_extract_bitwise():
 
 
 def test_projection_untouched_by_a_full_run():
+    from _helpers import fresh_state
+
     from ridgeforget import build_stream, run_stream
 
     spec = SyntheticSpec(3, 30, 5, 0.2, 55)
@@ -90,7 +92,7 @@ def test_projection_untouched_by_a_full_run():
     fingerprint = extractor.projection_hash()
     encoded = encode(extractor, generate_synthetic(spec))
     stream = build_stream(encoded, 3, 30, 3, seed=55)
-    run_stream(stream, 1e-3, dataset=encoded, test_rows=encoded)
+    run_stream(stream, fresh_state(stream, 1e-3), dataset=encoded, test_rows=encoded)
     assert extractor.projection_hash() == fingerprint
 
 
@@ -435,6 +437,23 @@ def test_csv_ids_and_labels_beyond_int64_name_their_line(tmp_path):
         load_csv(path)
     path.write_text("id,label,x0\n0,9223372036854775808,1.0\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"line 2: label must be below 2\*\*63"):
+        load_csv(path)
+
+
+def test_csv_with_a_non_utf8_byte_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"id,label,x0\r\n0,0,1.0\r\n1,1,\xff2.0\r\n")
+    with pytest.raises(InputError, match=r"line 3: not valid UTF-8 \(byte 5 "):
+        load_csv(path)
+
+
+def test_csv_field_over_the_size_limit_names_its_line(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("id,label,x0\n0,0,1.0\n1,1,0." + "0" * 140_000 + "1\n", encoding="utf-8")
+    with pytest.raises(InputError, match="line 3: field larger than field limit"):
+        load_csv(path)
+    path.write_text("id,label,x" + "0" * 140_000 + "\n0,0,1.0\n", encoding="utf-8")
+    with pytest.raises(InputError, match="line 1: field larger than field limit"):
         load_csv(path)
 
 

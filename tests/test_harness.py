@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _helpers import batch_union, rand_batch, rel_fro
+from _helpers import batch_union, fresh_state, rand_batch, rel_fro
 
 from ridgeforget import (
     AnalyticModel,
@@ -11,7 +11,6 @@ from ridgeforget import (
     InputError,
     RequestStream,
     RunAbortedError,
-    RunOptions,
     SampleLedger,
     TrackingMatrix,
     bench_scaling,
@@ -93,9 +92,7 @@ def test_forget_total_larger_than_dataset_rejected():
 
 
 def test_empty_stream_yields_fresh_state():
-    record, state = run_stream(
-        RequestStream((), ()), gamma=0.5, feature_dim=3, class_count=2
-    )
+    record, state = run_stream(RequestStream((), ()), EngineState.fresh(3, 2, 0.5))
     assert record.per_request == []
     assert np.array_equal(state.model.weights, np.zeros((3, 2)))
     assert np.array_equal(state.tracking.matrix, np.eye(3) * 2.0)
@@ -104,7 +101,8 @@ def test_empty_stream_yields_fresh_state():
 def test_learn_only_stream_matches_joint_fit():
     rng = np.random.default_rng(11)
     batches = [rand_batch(rng, 15, 5, 3, id_start=100 * k) for k in range(3)]
-    record, state = run_stream(RequestStream(tuple(batches), ()), gamma=0.3)
+    stream = RequestStream(tuple(batches), ())
+    record, state = run_stream(stream, fresh_state(stream, 0.3))
     want_model, want_tracking = joint_fit(batch_union(*batches), 0.3)
     assert rel_fro(state.model.weights, want_model.weights) <= 1e-9
     assert rel_fro(state.tracking.matrix, want_tracking.matrix) <= 1e-9
@@ -118,8 +116,8 @@ def test_full_stream_with_verification_every_request():
     stream = build_stream(dataset, 4, 40, 5, seed=3)
     record, state = run_stream(
         stream,
-        1e-3,
-        RunOptions(verify_every=1),
+        fresh_state(stream, 1e-3),
+        verify_every=1,
         dataset=dataset,
         test_rows=test_rows,
     )
@@ -136,7 +134,7 @@ def test_harness_adds_no_mathematical_behavior():
     rng = np.random.default_rng(17)
     dataset = make_dataset(rng, 60, 6, 3)
     stream = build_stream(dataset, 3, 18, 3, seed=21)
-    _, state = run_stream(stream, 0.05)
+    _, state = run_stream(stream, fresh_state(stream, 0.05))
 
     manual_state = EngineState.fresh(6, 3, 0.05)
     tracking, model = manual_state.tracking, manual_state.model
@@ -153,7 +151,7 @@ def test_cumulative_time_is_sum_of_wall_times():
     rng = np.random.default_rng(19)
     dataset = make_dataset(rng, 40, 5, 2)
     stream = build_stream(dataset, 2, 10, 2, seed=1)
-    record, _ = run_stream(stream, 0.2)
+    record, _ = run_stream(stream, fresh_state(stream, 0.2))
     walls = [r.wall_time_seconds for r in record.per_request]
     assert all(w >= 0 for w in walls)
     assert record.cumulative_time_seconds == pytest.approx(sum(walls), abs=1e-12)
@@ -170,8 +168,17 @@ def test_stream_invariants_enforced_before_execution():
     stream = RequestStream((learned,), (alien,))
     state = EngineState.fresh(4, 2, 1.0)
     with pytest.raises(ContractViolation, match="never learned"):
-        run_stream(stream, 1.0, initial_state=state)
+        run_stream(stream, state)
     # nothing ran: the learn batch was never recorded either
+    assert state.ledger.learned_ids == set()
+
+
+def test_stream_dims_must_match_the_state():
+    rng = np.random.default_rng(41)
+    stream = RequestStream((rand_batch(rng, 6, 4, 2),), ())
+    state = EngineState.fresh(3, 2, 1.0)
+    with pytest.raises(ContractViolation, match=r"stream dims \(4, 2\) do not match"):
+        run_stream(stream, state)
     assert state.ledger.learned_ids == set()
 
 
@@ -181,18 +188,19 @@ def test_overlapping_forget_requests_rejected():
     half = batch.permuted(np.arange(4))
     stream = RequestStream((batch,), (half, half))
     with pytest.raises(ContractViolation, match="overlap"):
-        run_stream(stream, 1.0)
+        run_stream(stream, fresh_state(stream, 1.0))
 
 
 def test_resumed_stream_cannot_reforget_before_any_request_runs():
     rng = np.random.default_rng(37)
     batch = rand_batch(rng, 8, 4, 2)
-    _, state = run_stream(RequestStream((batch,), (batch.permuted([0, 1]),)), 1.0)
+    first = RequestStream((batch,), (batch.permuted([0, 1]),))
+    _, state = run_stream(first, fresh_state(first, 1.0))
     # the second batch re-forgets id 0, which the resumed state already forgot
     stream = RequestStream((), (batch.permuted([2, 3]), batch.permuted([0, 4])))
     tracking, model = state.tracking, state.model
     with pytest.raises(ContractViolation, match="already forgotten"):
-        run_stream(stream, 1.0, initial_state=state)
+        run_stream(stream, state)
     assert state.ledger.learned_ids == set(range(8))
     assert state.ledger.forgotten_ids == {0, 1}
     assert state.tracking is tracking and state.model is model
@@ -205,7 +213,7 @@ def test_aborted_run_leaves_state_at_last_completed_request():
     stream = RequestStream((learn,), (FeatureBatch.empty(2, 2), poisoned))
     state = EngineState.fresh(2, 2, 1.0)
     with pytest.raises(RunAbortedError) as excinfo:
-        run_stream(stream, 1.0, initial_state=state)
+        run_stream(stream, state)
     assert excinfo.value.kind == "forget"
     assert excinfo.value.request_index == 2
     assert state.ledger.learned_ids == {0}
@@ -214,12 +222,6 @@ def test_aborted_run_leaves_state_at_last_completed_request():
     want_model, want_tracking = joint_fit(learn, 1.0)
     assert rel_fro(state.model.weights, want_model.weights) <= 1e-12
     assert rel_fro(state.tracking.matrix, want_tracking.matrix) <= 1e-12
-
-
-def test_initial_state_gamma_must_match():
-    state = EngineState.fresh(3, 2, 1.0)
-    with pytest.raises(ContractViolation):
-        run_stream(RequestStream((), ()), 0.5, initial_state=state)
 
 
 @pytest.mark.parametrize(
@@ -235,13 +237,7 @@ def test_engine_state_rejects_mismatched_pair(tracking, message):
 
 def test_verification_needs_dataset_and_test_rows():
     with pytest.raises(InputError):
-        run_stream(
-            RequestStream((), ()),
-            1.0,
-            RunOptions(verify_every=1),
-            feature_dim=2,
-            class_count=2,
-        )
+        run_stream(RequestStream((), ()), EngineState.fresh(2, 2, 1.0), verify_every=1)
 
 
 def test_build_forget_stream_draws_from_eligible_ids_only():

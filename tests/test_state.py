@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -17,6 +19,7 @@ from ridgeforget import (
 )
 from ridgeforget import state as state_module
 from ridgeforget.state import MAGIC
+from _helpers import fresh_state
 from test_harness import make_dataset
 
 
@@ -24,7 +27,7 @@ def run_to_state(seed=0, forget_requests=4):
     rng = np.random.default_rng(seed)
     dataset = make_dataset(rng, 50, 6, 3)
     stream = build_stream(dataset, 3, 16, forget_requests, seed=seed)
-    _, state = run_stream(stream, 1e-3)
+    _, state = run_stream(stream, fresh_state(stream, 1e-3))
     state.extractor = FeatureExtractor.from_seed(seed, 4, 6)
     return dataset, stream, state
 
@@ -65,15 +68,15 @@ def test_split_run_equals_straight_run_bitwise(tmp_path):
         rng = np.random.default_rng(seed)
         dataset = make_dataset(rng, 60, 5, 3)
         stream = build_stream(dataset, 2, 20, 10, seed=seed)
-        _, straight = run_stream(stream, 1e-3)
+        _, straight = run_stream(stream, fresh_state(stream, 1e-3))
 
         first = RequestStream(stream.learn_requests, stream.forget_requests[:5])
         second = RequestStream((), stream.forget_requests[5:])
-        _, half_state = run_stream(first, 1e-3)
+        _, half_state = run_stream(first, fresh_state(first, 1e-3))
         path = tmp_path / f"split-{seed}.state"
         save_state(half_state, path)
         resumed = load_state(path)
-        _, final = run_stream(second, 1e-3, initial_state=resumed)
+        _, final = run_stream(second, resumed)
 
         assert np.array_equal(final.model.weights, straight.model.weights)
         assert np.array_equal(final.tracking.matrix, straight.tracking.matrix)
@@ -179,3 +182,21 @@ def test_failed_save_leaves_the_old_state_whole(tmp_path, monkeypatch, failing):
     save_state(state, path)
     assert_states_equal(load_state(path), state)
     assert [p.name for p in tmp_path.iterdir()] == ["run.state"]
+
+
+def test_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    path = tmp_path / "run.state"
+    save_state(EngineState.fresh(6, 3, 1e-3), path)
+    _, _, state = run_to_state(seed=5)
+    fsync, synced = os.fsync, []
+
+    def spy(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        synced.append((is_dir, os.fstat(fd).st_ino, path.read_bytes()))
+        return fsync(fd)
+
+    monkeypatch.setattr(state_module.os, "fsync", spy)
+    save_state(state, path)
+    after = path.read_bytes()
+    directory = os.stat(tmp_path).st_ino
+    assert any(d and ino == directory and now == after for d, ino, now in synced)
