@@ -19,19 +19,25 @@ at trust boundaries: FeatureBatch, the row containers of `features` and the
 public TrackingMatrix constructor (also used by state loading).  The row
 invariants are written once, in _check_rows, and the gamma check once, in
 _check_gamma; update outputs keep shape and finiteness.
-Importing this module sets the bundled OpenBLAS to one thread for the whole
-process; only joint_fit's Gram, Cholesky and inverse use the host's threads.
+The seven kernels come from scipy's f2py modules _fblas and _flapack, loaded
+from their files without importing scipy.linalg (or through scipy.linalg
+when that fails).  Importing this module sets the bundled OpenBLAS to one
+thread for the whole process; only joint_fit's Gram, Cholesky and inverse
+use the host's threads.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import (
     ContractViolation, InputError, SingularityError, StateIntegrityError,
@@ -52,6 +58,49 @@ SYMMETRY_RTOL = 1e-10
 # Side of the tiles in which a triangle is mirrored; a tile pair fits in L1.
 _MIRROR_TILE = 64
 _TILE_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
+
+
+def _load_kernels():
+    """(blas, lapack): scipy's modules scipy.linalg._fblas and _flapack, each
+    loaded from its file under its own name and registered in sys.modules,
+    so a later `import scipy.linalg` reuses them.  Importing scipy.linalg
+    itself costs ~0.3 s (mostly its array-API shim, which imports
+    numpy.f2py); any failure to find or load the files falls back to it."""
+    try:
+        import scipy
+
+        folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        modules = []
+        for short, kernels in (
+            ("_fblas", ("dgemm", "dsyrk", "dtrsm")),
+            ("_flapack", ("dpotrf", "dpocon", "dpotrs", "dtrtri")),
+        ):
+            name = "scipy.linalg." + short
+            module = sys.modules.get(name)
+            if module is None:
+                paths = [os.path.join(folder, short + suffix)
+                         for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+                path = next(filter(os.path.isfile, paths), None)
+                if path is None:
+                    raise ImportError(f"no extension file for {name} in {folder}")
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[name] = module
+            if not all(hasattr(module, kernel) for kernel in kernels):
+                raise ImportError(f"{name} lacks one of {kernels}")
+            modules.append(module)
+        return tuple(modules)
+    except Exception:
+        from scipy.linalg import blas, lapack
+
+        return blas, lapack
+
+
+# Loaded before _openblas_copies reads the process's mappings: scipy's
+# OpenBLAS copy is mapped only once _fblas is.
+blas, lapack = _load_kernels()
 
 
 def _openblas_copies():

@@ -35,6 +35,12 @@ from .errors import ContractViolation, InputError
 
 NONLINEARITIES = ("relu", "identity")
 
+# Largest class count load_csv infers from the labels (labels 0..2**16 - 1).
+# The one-hot rows and the weight matrix are dense in the class count, so an
+# unbounded label would size them: a label of 10**8 asks for ~48 GiB of
+# weights at d = 64.  2**16 is three times ImageNet-21k's 21,841 classes.
+MAX_CLASSES = 2**16
+
 
 @dataclass(frozen=True)
 class FeatureExtractor:
@@ -347,12 +353,13 @@ def load_csv(path, class_count: int | None = None):
     """Load a dataset CSV; the header's 3rd column picks the mode.
 
     Returns an EncodedDataset for `f`-prefixed columns or a RawDataset for
-    `x`-prefixed ones.  class_count defaults to max(label) + 1.  The body
-    is parsed in one np.loadtxt pass; any row that pass cannot take as-is
-    sends the whole body through the line parser, which accepts the same
-    inputs and names the line of the first bad row.  A line that is not
-    UTF-8, or a field over the csv module's size limit, is an InputError
-    naming its line too.
+    `x`-prefixed ones.  class_count defaults to max(label) + 1, and then
+    every label must be below MAX_CLASSES.  The body is parsed in one
+    np.loadtxt pass; any row that pass cannot take as-is sends the whole
+    body through the line parser, which accepts the same inputs and names
+    the line of the first bad row, a label beyond MAX_CLASSES included.  A
+    line that is not UTF-8, or a field over the csv module's size limit, is
+    an InputError naming its line too.
     """
     with open(path, "rb") as handle:
         lines = handle.read().splitlines(keepends=True)
@@ -389,7 +396,11 @@ def load_csv(path, class_count: int | None = None):
             f"line 1: data columns must be exactly {prefix}0..{prefix}{width - 1}"
         )
     body = lines[reader.line_num :]
-    ids, labels, values = _parse_body(body, width) or _parse_lines(body, width)
+    # an inferred class count is bounded; a given one is checked below
+    limit = MAX_CLASSES if class_count is None else 2**63
+    ids, labels, values = (
+        _parse_body(body, width, limit) or _parse_lines(body, width, limit)
+    )
     if class_count is None:
         class_count = int(labels.max()) + 1 if labels.size else 0
     if labels.size and labels.max() >= class_count:
@@ -407,11 +418,12 @@ def load_csv(path, class_count: int | None = None):
 _LINE_PARSER_ONLY = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _parse_body(body: list, width: int):
+def _parse_body(body: list, width: int, label_limit: int):
     """(ids, labels, values) from one np.loadtxt pass over the data lines,
     or None where the line parser must decide: no data rows, text numpy
     would read differently, a row numpy rejects, or rows the line parser
-    rejects once parsed (negative or repeated ids, negative labels)."""
+    rejects once parsed (negative or repeated ids, labels outside
+    [0, label_limit))."""
     text = "".join(body)
     if (
         not any(line.strip("\r\n") for line in body)
@@ -430,7 +442,11 @@ def _parse_body(body: list, width: int):
     except (ValueError, OverflowError):
         return None
     ids, labels = parsed["id"], parsed["label"]
-    if (ids < 0).any() or (labels < 0).any() or np.unique(ids).size != ids.size:
+    if (
+        (ids < 0).any()
+        or ((labels < 0) | (labels >= label_limit)).any()
+        or np.unique(ids).size != ids.size
+    ):
         return None
     return ids, labels, parsed["values"]
 
@@ -445,9 +461,10 @@ def _csv_records(body: list):
         raise InputError(f"line {reader.line_num + 1}: {exc}") from exc
 
 
-def _parse_lines(body: list, width: int):
-    """(ids, labels, values) parsed line by line; the first bad row raises
-    an InputError naming its 1-based line."""
+def _parse_lines(body: list, width: int, label_limit: int):
+    """(ids, labels, values) parsed line by line; the first bad row, a label
+    at or above `label_limit` included, raises an InputError naming its
+    1-based line."""
     ids, labels, rows = [], [], []
     seen = {}
     for lineno, record in enumerate(_csv_records(body), start=2):
@@ -468,6 +485,10 @@ def _parse_lines(body: list, width: int):
                 raise InputError(f"line {lineno}: {name} must be non-negative")
             if number >= 2**63:
                 raise InputError(f"line {lineno}: {name} must be below 2**63")
+        if label >= label_limit:
+            raise InputError(
+                f"line {lineno}: label {label} must be below {label_limit}"
+            )
         if sample_id in seen:
             raise InputError(
                 f"line {lineno}: duplicate id {sample_id} "

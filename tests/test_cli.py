@@ -118,6 +118,15 @@ def test_id_beyond_int64_exits_1(tmp_path, capsys):
     assert "error: line 3: id must be below 2**63" in capsys.readouterr().err
 
 
+def test_label_beyond_the_class_bound_exits_1(tmp_path, capsys):
+    data = tmp_path / "huge-label.csv"
+    data.write_text("id,label,f0\n0,1000000000000000,0.5\n", encoding="utf-8")
+    assert run_cli("run", "--data", data, "--forget-total", 1, "--requests", 1) == 1
+    assert "error: line 2: label 1000000000000000 must be below 65536" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize(
     "body, message",
     [(b"1,1,\xff2.0\n", "line 3: not valid UTF-8"),

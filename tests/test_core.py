@@ -1,3 +1,9 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from _helpers import (
@@ -184,6 +190,107 @@ def test_blas_runs_one_thread_outside_joint_fit(monkeypatch):
     with pytest.raises(MemoryError):
         joint_fit(rand_batch(np.random.default_rng(5), 40, 6, 3), 0.5)
     assert [get() for get, _, _ in copies] == [1] * len(copies)
+
+
+def _run_python(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this
+    checkout's ridgeforget; a failure shows the child's stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_loads_the_kernels_without_scipy_linalg():
+    _run_python(
+        "import sys\n"
+        "import ridgeforget.cli\n"
+        "from ridgeforget import core\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert core.blas.__name__ == 'scipy.linalg._fblas'\n"
+        "assert core.lapack.__name__ == 'scipy.linalg._flapack'\n"
+        "import scipy.linalg\n"
+        "assert sys.modules['scipy.linalg._fblas'] is core.blas\n"
+        "for ours, theirs, names in (\n"
+        "    (core.blas, scipy.linalg.blas, 'dgemm dsyrk dtrsm'),\n"
+        "    (core.lapack, scipy.linalg.lapack, 'dpotrf dpocon dpotrs dtrtri'),\n"
+        "):\n"
+        "    for name in names.split():\n"
+        "        assert getattr(ours, name) is getattr(theirs, name), name\n"
+    )
+
+
+@pytest.mark.parametrize("damaged", [False, True], ids=["no-file", "unloadable-file"])
+def test_kernel_loader_falls_back_to_scipy_linalg(tmp_path, damaged):
+    # the loader looks for the files beside scipy.__file__, so pointing that
+    # at an empty folder, or at one of non-ELF files, makes it fail; the
+    # import system finds scipy.linalg through scipy.__path__ as before
+    linalg = tmp_path / "scipy" / "linalg"
+    linalg.mkdir(parents=True)
+    if damaged:
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        for name in ("_fblas", "_flapack"):
+            (linalg / (name + suffix)).write_bytes(b"not a shared object")
+    _run_python(
+        "import scipy\n"
+        f"scipy.__file__ = {str(tmp_path / 'scipy' / '__init__.py')!r}\n"
+        "import numpy as np\n"
+        "from ridgeforget import FeatureBatch, core, joint_fit, unlearn_model, "
+        "unlearn_tracking\n"
+        "import scipy.linalg\n"
+        "assert core.blas is scipy.linalg.blas\n"
+        "assert core.lapack is scipy.linalg.lapack\n"
+        "rng = np.random.default_rng(4)\n"
+        "f = rng.standard_normal((30, 5))\n"
+        "y = np.eye(3)[rng.integers(0, 3, 30)]\n"
+        "model, tracking = joint_fit(FeatureBatch(f, y, np.arange(30)), 0.5)\n"
+        "forget = FeatureBatch(f[:10], y[:10], np.arange(10))\n"
+        "tracking = unlearn_tracking(tracking, forget)\n"
+        "model = unlearn_model(model, tracking, forget)\n"
+        "inverse = np.linalg.inv(f[10:].T @ f[10:] + 0.5 * np.eye(5))\n"
+        "assert np.allclose(tracking.matrix, inverse, rtol=1e-10, atol=0)\n"
+        "assert np.allclose(model.weights, inverse @ f[10:].T @ y[10:], "
+        "rtol=1e-10, atol=1e-12)\n"
+    )
+
+
+def test_thread_pin_covers_every_openblas_copy():
+    # a copy mapped after core reads the mappings would keep its threads
+    out = _run_python(
+        "import ctypes\n"
+        "import ridgeforget.cli\n"
+        "from ridgeforget import core\n"
+        "def mapped():\n"
+        "    with open('/proc/self/maps', encoding='utf-8') as handle:\n"
+        "        return sorted({line.split()[-1] for line in handle\n"
+        "                       if 'libscipy_openblas' in line\n"
+        "                       and line.rstrip().endswith('.so')})\n"
+        "paths = mapped()\n"
+        "print(len(paths))\n"
+        "address = lambda f: ctypes.cast(f, ctypes.c_void_p).value\n"
+        "pinned = {address(get) for get, _, _ in core._OPENBLAS}\n"
+        "def check():\n"
+        "    for path in paths:\n"
+        "        lib = ctypes.CDLL(path)\n"
+        "        name = next(n for n in ('scipy_openblas_get_num_threads64_',\n"
+        "                                'scipy_openblas_get_num_threads')\n"
+        "                    if hasattr(lib, n))\n"
+        "        get = getattr(lib, name)\n"
+        "        get.restype = ctypes.c_int\n"
+        "        assert address(get) in pinned, path\n"
+        "        assert get() == 1, path\n"
+        "check()\n"
+        "import scipy.linalg\n"
+        "assert mapped() == paths\n"
+        "check()\n"
+    )
+    if out.strip() == "0":
+        pytest.skip("no bundled OpenBLAS copy is mapped")
 
 
 def test_joint_fit_is_the_minimizer_by_finite_differences():

@@ -440,6 +440,22 @@ def test_csv_ids_and_labels_beyond_int64_name_their_line(tmp_path):
         load_csv(path)
 
 
+def test_csv_label_beyond_the_class_bound_names_its_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    top = features.MAX_CLASSES - 1
+    path.write_text(f"id,label,f0\n0,0,0.5\n1,{top},1.0\n", encoding="utf-8")
+    assert load_csv(path).class_count == features.MAX_CLASSES
+    for label in (features.MAX_CLASSES, 10**15):
+        path.write_text(
+            f"id,label,f0\n0,0,0.5\n\n1,{label},1.0\n2,{label},1.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            InputError, match=rf"line 4: label {label} must be below {top + 1}$"
+        ):
+            load_csv(path)
+
+
 def test_csv_with_a_non_utf8_byte_names_its_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"id,label,x0\r\n0,0,1.0\r\n1,1,\xff2.0\r\n")
@@ -505,6 +521,8 @@ def _csv_outcome(path, class_count):
         pytest.param(_F + "0,1,0.5,1.5\n3,0,1,2\n0,1,1,1\n", None, False,
                      id="duplicate-id"),
         pytest.param(_F + "0,1,0.5,1.5\n3,-1,1,2\n", None, False, id="negative-label"),
+        pytest.param(_F + "0,1,0.5,1.5\n3,65536,1,2\n", None, False,
+                     id="label-over-class-bound"),
         pytest.param(_F + "9223372036854775808,1,0.5,1.5\n", None, False,
                      id="int64-overflow-id"),
         pytest.param(_F + "9223372036854775807,1,0.5,1.5\n", None, True, id="int64-max-id"),
