@@ -9,6 +9,9 @@ Van Loan, Matrix Computations, sec. 6.5):
   I - s F T F^T = L L^T   (Cholesky)      G  = L^(-1) F T   (TRSM)
   T' = T + s G^T G        (SYRK)          W' = W + s T' F^T (F W - Y)
 
+and T' F^T r = (F T)^T r + s G^T (G F^T r) takes the weight step in
+O(d m c) without reading T' (the product form in Hager, SIAM Review 1989).
+
 With at least as many rows as columns the smaller d x d dual form runs:
 T = K K^T, I - s K^T F^T F K = R R^T, T' = M M^T with M = K R^(-T).  SYRK
 fills one triangle, mirrored onto the other, so T' is exactly symmetric.
@@ -21,9 +24,10 @@ invariants are written once, in _check_rows, and the gamma check once, in
 _check_gamma; update outputs keep shape and finiteness.
 The seven kernels come from scipy's f2py modules _fblas and _flapack, loaded
 from their files without importing scipy.linalg (or through scipy.linalg
-when that fails).  Importing this module sets the bundled OpenBLAS to one
-thread for the whole process; only joint_fit's Gram, Cholesky and inverse
-use the host's threads.
+when that fails).  Importing this module sets every bundled OpenBLAS copy to
+one thread, and numpy's stays there; scipy's, which serves the seven
+kernels, runs at the host's count in joint_fit and in primal updates with
+m d^2 >= _THREADED_WORK.
 """
 
 from __future__ import annotations
@@ -104,9 +108,10 @@ blas, lapack = _load_kernels()
 
 
 def _openblas_copies():
-    """(get_num_threads, set_num_threads) of every loaded scipy_openblas copy:
-    numpy's 64-bit-index copy serves `@`, scipy's own serves
-    scipy.linalg.blas and lapack.  Empty under any other BLAS build."""
+    """(get_num_threads, set_num_threads, suffix) of every loaded
+    scipy_openblas copy: numpy's 64-bit-index copy (suffix "64_") serves `@`,
+    scipy's LP64 one (suffix "") serves `blas` and `lapack`.  Empty under any
+    other BLAS build."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
             paths = sorted({
@@ -124,23 +129,30 @@ def _openblas_copies():
                 get.argtypes, get.restype = [], ctypes.c_int
                 put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
                 put.argtypes, put.restype = [ctypes.c_int], None
-                copies.append((get, put))
+                copies.append((get, put, suffix))
                 break
     return copies
 
 
-# (get, set, import-time thread count) of each OpenBLAS copy.  Every kernel
-# runs on one thread except joint_fit's Gram, Cholesky and inverse: request
-# kernels are O(d^2 m) with m ~ 100, and waking the pool's other threads for
-# them cost more than it saved (on a 2-vCPU host, one thread halved the
-# d=1024 forget latency).
-_OPENBLAS = [(get, put, get()) for get, put in _openblas_copies()]
+# (get, set, host thread count) of each OpenBLAS copy.  scipy's gets its
+# import-time count in joint_fit and in primal updates of m d^2 >=
+# _THREADED_WORK; numpy's keeps one thread for good: with both pools awake
+# their idle threads spin against each other (a d=1024, m=100 request took
+# 26-34 ms instead of 13-14 on a 2-vCPU host).
+_OPENBLAS = [(get, put, 1 if suffix else get()) for get, put, suffix in _openblas_copies()]
+
+# Smallest m d^2 at which a primal update runs threaded.  In process on a
+# 2-vCPU host, threading took 0.76-0.98 of the one-thread time at (d, m) =
+# (256, 100), (512, 100), (1024, 10) and (1024, 100), m d^2 >= 6.5e6, and
+# 0.97-1.17 at (256, 1-10) and (512, 1-10), m d^2 <= 2.6e6; (1024, 1), at
+# 1.0e6 and 0.93-1.00, stays on one thread with them (table in CHANGES.md).
+_THREADED_WORK = 2**22
 
 
 def _use_host_blas_threads(host: bool):
-    """Set every OpenBLAS copy to its import-time count, or to 1.  Writes
-    fixed values and never restores a read one, so concurrent joint_fit
-    calls can at worst run one Gram on one thread, never leave a stale count."""
+    """Set every OpenBLAS copy to its host count, or to 1.  Writes fixed
+    values and never restores a read one, so concurrent callers can at worst
+    run a kernel on one thread, never leave a stale count."""
     for _, put, count in _OPENBLAS:
         put(count if host else 1)
 
@@ -206,6 +218,8 @@ class TrackingMatrix:
 
     matrix: np.ndarray
     gamma: float
+    # (batch, s, (F T)^T, G^T) of the primal update that made this matrix
+    _update = None
 
     def __post_init__(self):
         self._seal(_as_matrix(self.matrix, "tracking matrix"), _check_gamma(self.gamma))
@@ -217,11 +231,12 @@ class TrackingMatrix:
             )
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, gamma: float) -> "TrackingMatrix":
+    def _trusted(cls, matrix: np.ndarray, gamma: float, update=None) -> "TrackingMatrix":
         """Wrap a kernel output, exactly symmetric by construction, without the
         copy or the asymmetry norm; `matrix` is frozen in place, not copied."""
         tracking = object.__new__(cls)
         tracking._seal(matrix, gamma)
+        object.__setattr__(tracking, "_update", update)
         return tracking
 
     def _seal(self, matrix: np.ndarray, gamma: float):
@@ -394,27 +409,49 @@ def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float) -> np.ndarray:
     return blas.dtrsm(1.0, factor, rhs, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
-def _rank_update(tracking: TrackingMatrix, f: np.ndarray, s: float) -> TrackingMatrix:
-    """T' = (T^(-1) - s F^T F)^(-1), writing no input.  BLAS sees Fortran
-    order: T and the mirrored T' are symmetric, so either view is the same."""
-    t = tracking.matrix
+def _rank_update(tracking: TrackingMatrix, batch: FeatureBatch, s: float) -> TrackingMatrix:
+    """T' = (T^(-1) - s F^T F)^(-1), writing no input; a primal T' records
+    its update for _weight_step.  BLAS sees Fortran order: T and the
+    mirrored T' are symmetric, so either view is the same."""
+    t, f = tracking.matrix, batch.features
+    update = None
     if f.shape[0] < f.shape[1]:
-        f_t = f @ t
-        g_t = _core_solve(f_t @ f.T, f_t.T, s)  # G^T = (F T)^T L^(-T)
-        new_t = blas.dsyrk(s, g_t, beta=1.0, c=t.T.copy("F"), lower=1, overwrite_c=1)
+        threaded = f.shape[0] * t.size >= _THREADED_WORK
+        if threaded:
+            _use_host_blas_threads(True)
+        try:
+            ft_t = blas.dgemm(1.0, t.T, f.T)  # (F T)^T = T^T F^T
+            part = blas.dgemm(1.0, f.T, ft_t, trans_a=1).T  # F T F^T
+            g_t = _core_solve(part, ft_t.copy("F"), s)  # G^T = (F T)^T L^(-T)
+            new_t = blas.dsyrk(s, g_t, beta=1.0, c=t.T.copy("F"), lower=1, overwrite_c=1)
+        finally:
+            if threaded:
+                _use_host_blas_threads(False)
+        update = (batch, s, ft_t, g_t)
     else:  # the d x d system is smaller, and T' = M M^T subtracts nothing
         chol, info = lapack.dpotrf(t.T, lower=1, clean=1)
         if info != 0:
             raise StateIntegrityError("tracking matrix is not positive definite")
         f_chol = f @ chol
         new_t = blas.dsyrk(1.0, _core_solve(f_chol.T @ f_chol, chol, s), lower=1)
-    return TrackingMatrix._trusted(_mirror_lower(new_t).T, tracking.gamma)
+    return TrackingMatrix._trusted(_mirror_lower(new_t).T, tracking.gamma, update)
 
 
-def _weight_step(model: AnalyticModel, t: np.ndarray, batch: FeatureBatch, s: float):
-    """W' = W + s T' F^T (F W - Y) for the updated T' = t, one pass over it."""
+def _weight_step(model: AnalyticModel, tracking: TrackingMatrix, batch: FeatureBatch, s: float):
+    """W' = W + s T' F^T r, r = F W - Y, for the updated T' = tracking.  When
+    T' records its update of this same batch, T' F^T r comes from that
+    update's F T and G; otherwise from one pass over T'."""
     f = batch.features
-    step = t @ (f.T @ (f @ model.weights - batch.labels))
+    r_t = (f @ model.weights - batch.labels).T  # Fortran, so dgemm copies nothing
+    fr = blas.dgemm(1.0, f.T, r_t, trans_b=1)  # F^T r
+    update = tracking._update
+    if update is not None and update[0] is batch:
+        _, sign, ft_t, g_t = update
+        step = blas.dgemm(1.0, ft_t, r_t, trans_b=1)  # (F T)^T r
+        gfr = blas.dgemm(1.0, g_t, fr, trans_a=1)  # G F^T r
+        step = blas.dgemm(sign, g_t, gfr, beta=1.0, c=step, overwrite_c=1)
+    else:
+        step = blas.dgemm(1.0, tracking.matrix.T, fr, trans_a=1)  # T' F^T r
     return AnalyticModel(model.weights + s * step, model.gamma)
 
 
@@ -466,8 +503,8 @@ def learn_update(tracking: TrackingMatrix, model: AnalyticModel, batch: FeatureB
     _check_batch_dims(batch, model.feature_dim, model.class_count)
     if len(batch) == 0:
         return tracking, model
-    new_tracking = _rank_update(tracking, batch.features, -1.0)
-    return new_tracking, _weight_step(model, new_tracking.matrix, batch, -1.0)
+    new_tracking = _rank_update(tracking, batch, -1.0)
+    return new_tracking, _weight_step(model, new_tracking, batch, -1.0)
 
 
 def unlearn_tracking(tracking: TrackingMatrix, forget: FeatureBatch) -> TrackingMatrix:
@@ -477,7 +514,7 @@ def unlearn_tracking(tracking: TrackingMatrix, forget: FeatureBatch) -> Tracking
     _check_batch_dims(forget, tracking.feature_dim)
     if len(forget) == 0:
         return tracking
-    return _rank_update(tracking, forget.features, 1.0)
+    return _rank_update(tracking, forget, 1.0)
 
 
 def unlearn_model(
@@ -485,13 +522,15 @@ def unlearn_model(
 ) -> AnalyticModel:
     """Remove a batch's influence from the weights: W' = W + T' F^T (F W - Y)
     with T' the tracking matrix ALREADY updated for this forget batch.  W'
-    equals the joint fit on the surviving rows.
+    equals the joint fit on the surviving rows.  Given unlearn_tracking's
+    own output for this same batch object, the step costs O(d m c) and does
+    not read T'.
     """
     _check_pair(tracking_after, model)
     _check_batch_dims(forget, model.feature_dim, model.class_count)
     if len(forget) == 0:
         return model
-    return _weight_step(model, tracking_after.matrix, forget, 1.0)
+    return _weight_step(model, tracking_after, forget, 1.0)
 
 
 def predict(model: AnalyticModel, features: np.ndarray):

@@ -41,6 +41,12 @@ NONLINEARITIES = ("relu", "identity")
 # weights at d = 64.  2**16 is three times ImageNet-21k's 21,841 classes.
 MAX_CLASSES = 2**16
 
+# Most input values (rows x input_dim) a synthetic dataset may hold, which
+# caps its rows at MAX_SYNTHETIC_VALUES // input_dim.  Generation holds a few
+# float64 arrays of this size (128 MiB each at the cap), so an oversized
+# request fails before it allocates; 2**24 is 262x the desk recipe.
+MAX_SYNTHETIC_VALUES = 2**24
+
 
 @dataclass(frozen=True)
 class FeatureExtractor:
@@ -150,8 +156,18 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.class_count <= 0 or self.samples_per_class <= 0 or self.input_dim <= 0:
             raise ContractViolation("all synthetic-spec counts must be positive")
-        if self.cluster_spread < 0:
-            raise ContractViolation("cluster_spread must be non-negative")
+        if self.class_count > MAX_CLASSES:
+            raise ContractViolation(
+                f"class_count {self.class_count} must be at most {MAX_CLASSES}"
+            )
+        rows = int(self.class_count) * int(self.samples_per_class)
+        if rows * int(self.input_dim) > MAX_SYNTHETIC_VALUES:
+            raise ContractViolation(
+                f"{rows} rows x {self.input_dim} input dims exceed the "
+                f"{MAX_SYNTHETIC_VALUES} input values a synthetic dataset may hold"
+            )
+        if not (math.isfinite(self.cluster_spread) and self.cluster_spread >= 0):
+            raise ContractViolation("cluster_spread must be finite and non-negative")
         if not 0 <= self.seed < 2**64:
             raise ContractViolation(f"seed must fit in 64 unsigned bits: {self.seed}")
 
@@ -163,9 +179,9 @@ def generate_synthetic(spec: SyntheticSpec, draw: int = 0) -> RawDataset:
     fresh samples from the same distribution (held-out test draws).  Ids
     are disjoint across draws.
     """
-    if draw < 0:
-        raise ContractViolation(f"draw must be non-negative, got {draw}")
     n = spec.class_count * spec.samples_per_class
+    if not 0 <= draw < 2**63 // n:  # ids draw*n .. (draw+1)*n - 1 fit in int64
+        raise ContractViolation(f"draw must be in [0, {2**63 // n}), got {draw}")
     rng_means = np.random.default_rng(
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(0,))
     )

@@ -192,6 +192,30 @@ def test_gen_data_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--classes", 10**15), "class_count 1000000000000000 must be at most 65536"),
+     (("--classes", 65537), "class_count 65537 must be at most 65536"),
+     (("--per-class", 0), "counts must be positive"),
+     (("--input-dim", -1), "counts must be positive"),
+     (("--per-class", 10**8), "exceed the 16777216 input values"),
+     (("--input-dim", 10**20), "exceed the 16777216 input values"),
+     (("--draw", 10**21), "draw must be in [0, 1537228672809129301)"),
+     (("--spread", "nan"), "cluster_spread must be finite and non-negative")],
+    ids=["classes-over-bound", "classes-one-over", "per-class-zero",
+         "input-dim-negative", "rows-over-cap", "input-dim-over-cap", "draw-over-ids",
+         "spread-nan"],
+)
+def test_gen_data_bad_value_exits_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "out.csv"
+    # the last occurrence of a flag wins, so `flags` overrides these values
+    sizes = ("--classes", 2, "--per-class", 3, "--input-dim", 2)
+    assert run_cli("gen-data", *sizes, *flags, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_run_with_feature_data_and_raw_test_data_exits_1(tmp_path, data_files, capsys):
     _, test = data_files
     features = tmp_path / "features.csv"

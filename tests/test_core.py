@@ -192,6 +192,46 @@ def test_blas_runs_one_thread_outside_joint_fit(monkeypatch):
     assert [get() for get, _, _ in copies] == [1] * len(copies)
 
 
+def _threaded_size(d=512):
+    """(d, m) of a primal request large enough to run threaded."""
+    m = -(-core._THREADED_WORK // (d * d))
+    assert m * d * d >= core._THREADED_WORK and m < d
+    return d, m
+
+
+def test_threaded_requests_leave_every_copy_at_one_thread(monkeypatch):
+    copies = core._OPENBLAS
+    if not copies:
+        pytest.skip("no bundled OpenBLAS copy is loaded")
+    host = [count for _, _, count in copies]
+    numpy_copy = [bool(suffix) for _, _, suffix in core._openblas_copies()]
+    d, m = _threaded_size()
+    rng = np.random.default_rng(83)
+    seen = []
+    dsyrk = core.blas.dsyrk
+
+    def observed(*args, **kwargs):
+        seen.append([get() for get, _, _ in copies])
+        return dsyrk(*args, **kwargs)
+
+    monkeypatch.setattr(core.blas, "dsyrk", observed)
+    model, tracking = joint_fit(rand_batch(rng, 2 * d, d, 3), 0.5)
+    batch = rand_batch(rng, m, d, 3, id_start=2 * d)
+    tracking, model = learn_update(tracking, model, batch)
+    assert seen[-1] == host  # the request's SYRK
+    assert [n for n, is_numpy in zip(seen[-1], numpy_copy) if is_numpy] == [1] * sum(numpy_copy)
+    assert [get() for get, _, _ in copies] == [1] * len(copies)
+    unlearn_tracking(tracking, batch)
+    assert seen[-1] == host
+    assert [get() for get, _, _ in copies] == [1] * len(copies)
+
+    # rows never learned: the removal core I - F F^T fails Cholesky
+    fresh = TrackingMatrix.fresh(d, 1.0)
+    with pytest.raises(UnlearnabilityError):
+        unlearn_tracking(fresh, rand_batch(rng, m, d, 3))
+    assert [get() for get, _, _ in copies] == [1] * len(copies)
+
+
 def _run_python(code: str) -> str:
     """stdout of `code` run in a fresh interpreter that imports this
     checkout's ridgeforget; a failure shows the child's stderr."""
@@ -514,6 +554,38 @@ def test_unlearn_model_matches_joint_fit_oracle():
     assert rel_fro(after_model.weights, want) <= 1e-8
 
 
+@pytest.mark.parametrize("d, m", [(40, 10), _threaded_size()], ids=["small", "threaded"])
+def test_weight_step_paths_agree_with_a_refit(d, m):
+    # unlearn_model takes T' F^T r from the update's F T and G only for the
+    # batch object unlearn_tracking removed; every other pair reads T'
+    rng = np.random.default_rng(89)
+    gamma = 0.4
+    base = rand_batch(rng, 3 * d, d, 4)
+    model, tracking = joint_fit(base, gamma)
+    picked = rng.choice(3 * d, size=m, replace=False)
+    forget = base.permuted(picked)
+    after = unlearn_tracking(tracking, forget)
+    assert after._update[0] is forget
+    equal = FeatureBatch(forget.features, forget.labels, forget.sample_ids)
+    rebuilt = TrackingMatrix(after.matrix, gamma)
+    assert rebuilt._update is None
+    weights = [
+        unlearn_model(model, after, forget).weights,
+        unlearn_model(model, after, equal).weights,
+        unlearn_model(model, rebuilt, forget).weights,
+    ]
+    keep = np.setdiff1d(np.arange(3 * d), picked)
+    want = solve_weights_oracle(base.features[keep], base.labels[keep], gamma)
+    for got in weights:
+        assert rel_fro(got, want) <= 1e-10
+        assert rel_fro(got, weights[0]) <= 1e-12
+    # with other rows the step is still W + T' F^T (F W - Y), read from T'
+    other = rand_batch(rng, m, d, 4, id_start=10 * d)
+    f, y = other.features, other.labels
+    step = after.matrix @ f.T @ (f @ model.weights - y)
+    assert rel_fro(unlearn_model(model, after, other).weights, model.weights + step) <= 1e-12
+
+
 # ----------------------------------------------------------------- predict
 
 
@@ -678,7 +750,7 @@ def test_tracking_stays_symmetric_and_pd_through_100_requests():
 def test_long_interleaved_stream_drift_stays_bounded():
     # 2,000 alternating learn / forget requests of 1-12 rows at d = 6, so
     # both the m x m and the d x d form run.  Measured over five seeds:
-    # T (Gram + gamma I) within 4e-14 of I, W within 4e-14 of a refit.
+    # T (Gram + gamma I) within 5e-14 of I, W within 4e-14 of a refit.
     rng = np.random.default_rng(71)
     d_f, d_c, gamma, steps = 6, 3, 0.1, 2000
     pool = rand_batch(rng, 200 + 6 * steps, d_f, d_c)
@@ -695,6 +767,36 @@ def test_long_interleaved_stream_drift_stays_bounded():
         else:
             size = min(size, len(retained))
             picked = set(rng.choice(retained, size=size, replace=False).tolist())
+            forget = pool.permuted(sorted(picked))
+            tracking = unlearn_tracking(tracking, forget)
+            model = unlearn_model(model, tracking, forget)
+            retained = [r for r in retained if r not in picked]
+    features = pool.features[retained]
+    gram = features.T @ features + gamma * np.eye(d_f)
+    assert np.abs(tracking.matrix @ gram - np.eye(d_f)).max() <= 1e-11
+    want = solve_weights_oracle(features, pool.labels[retained], gamma)
+    assert rel_fro(model.weights, want) <= 1e-11
+    assert np.array_equal(tracking.matrix, tracking.matrix.T)
+
+
+def test_threaded_interleaved_stream_drift_stays_bounded():
+    # 200 alternating learn / forget requests of m rows on the threaded
+    # primal branch, each weight step taken from F T and G
+    rng = np.random.default_rng(97)
+    d_f, m = _threaded_size()
+    d_c, gamma, steps = 4, 0.1, 200
+    pool = rand_batch(rng, 4 * d_f + m * steps // 2, d_f, d_c)
+    retained = list(range(4 * d_f))
+    model, tracking = joint_fit(pool.permuted(retained), gamma)
+    next_row = len(retained)
+    for step in range(steps):
+        if step % 2 == 0:
+            rows = list(range(next_row, next_row + m))
+            next_row += m
+            tracking, model = learn_update(tracking, model, pool.permuted(rows))
+            retained += rows
+        else:
+            picked = set(rng.choice(retained, size=m, replace=False).tolist())
             forget = pool.permuted(sorted(picked))
             tracking = unlearn_tracking(tracking, forget)
             model = unlearn_model(model, tracking, forget)
