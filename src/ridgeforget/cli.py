@@ -55,7 +55,7 @@ def _encode_dataset(path, extractor, class_count=None):
             f"{path} holds raw inputs but no extractor is available; "
             "use a feature-mode CSV or a state saved with an extractor"
         )
-    return encode(extractor, dataset, class_count=class_count)
+    return encode(extractor, dataset)
 
 
 def _write_run_report(path, record):

@@ -262,14 +262,17 @@ class TrackingMatrix:
         return cls(np.eye(feature_dim) / gamma, gamma)
 
 
-def _check_rows(ids: np.ndarray, *columns, features=None, one_hots=None):
+def _check_rows(
+    ids: np.ndarray, *columns, features=None, one_hots=None, labels=None, class_count=0
+):
     """The row invariants of every row container: one row per id in each of
-    `columns`, `features` and `one_hots`; distinct non-negative ids; finite
-    features; and one-hot label rows, a single 1 among 0s.  Raises
-    InputError naming the sample id of a non-finite feature row, and
+    `columns`, `features`, `one_hots` and `labels`; distinct non-negative ids;
+    finite features; one-hot label rows, a single 1 among 0s; and label
+    indices in [0, class_count).  Raises InputError naming the sample id of
+    a non-finite feature row or of an out-of-range label, and
     ContractViolation for the rest."""
     n = ids.shape[0]
-    for column in (*columns, features, one_hots):
+    for column in (*columns, features, one_hots, labels):
         if column is not None and len(column) != n:
             raise ContractViolation(
                 f"row counts disagree: {len(column)} rows for {n} ids"
@@ -282,6 +285,16 @@ def _check_rows(ids: np.ndarray, *columns, features=None, one_hots=None):
         ones = one_hots == 1.0
         if not ((ones | (one_hots == 0.0)).all() and (ones.sum(axis=1) == 1).all()):
             raise ContractViolation("each label row must be one-hot")
+    if labels is not None:
+        if not (isinstance(class_count, numbers.Integral) and class_count >= 0):
+            raise ContractViolation(f"class_count must be an integer >= 0: {class_count!r}")
+        bad = (labels < 0) | (labels >= class_count)
+        if bad.any():
+            row = np.argmax(bad)
+            raise InputError(
+                f"label {labels[row]} of sample id {ids[row]} is out of range "
+                f"[0, {class_count})"
+            )
     # all() over the whole matrix first: it is the cost on every valid batch
     if features is not None and not np.isfinite(features).all():
         finite = np.isfinite(features).all(axis=1)

@@ -6,8 +6,9 @@ by an optional ReLU.  It is drawn once from its seed and never mutated, so
 feature extraction is a pure function of (seed, input).
 
 Datasets come in two flavors: RawDataset (inputs not yet projected) and
-EncodedDataset (feature rows plus one-hot labels, keyed by sample id).
-Both round-trip through a CSV format selected by header prefix:
+EncodedDataset (feature rows plus label indices, keyed by sample id, with
+one-hot label rows derived from the indices).  Both round-trip through a
+CSV format selected by header prefix:
 
     id,label,x0,...,x{m-1}   raw inputs
     id,label,f0,...,f{d-1}   pre-extracted features (extractor bypassed)
@@ -16,8 +17,10 @@ Labels are 0-based integers.  Parse errors report 1-based line numbers.
 load_csv reads the body in one np.loadtxt pass, and leaves any input that
 pass would reject, or read differently, to a line-by-line parser.
 RawDataset, EncodedDataset and core's FeatureBatch check their row
-invariants (ids, row counts, finite features, one-hot rows) through one
-helper, core._check_rows; encode extracts a whole dataset in one product.
+invariants (ids, row counts, finite features, labels in [0, class_count),
+one-hot rows) through one helper, core._check_rows, so a label out of range
+is an InputError naming its sample id wherever it enters.  encode extracts
+a whole dataset in one product.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -127,9 +130,7 @@ class RawDataset:
         ids = np.array(self.sample_ids, dtype=np.int64, copy=True).reshape(-1)
         inputs = _as_matrix(self.inputs, "inputs")
         labels = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
-        _check_rows(ids, inputs, labels)
-        if ((labels < 0) | (labels >= self.class_count)).any():
-            raise ContractViolation(f"labels must lie in [0, {self.class_count})")
+        _check_rows(ids, inputs, labels=labels, class_count=self.class_count)
         for name, arr in (("sample_ids", ids), ("inputs", inputs), ("labels", labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -199,7 +200,8 @@ def generate_synthetic(spec: SyntheticSpec, draw: int = 0) -> RawDataset:
 
 @dataclass(frozen=True)
 class EncodedDataset:
-    """Feature rows with one-hot labels, keyed by distinct sample ids.
+    """Feature rows with label indices, keyed by distinct sample ids; the
+    one-hot label rows are derived from the indices.
 
     Features must be finite: rows of a validated dataset are valid batch
     rows, so to_batch re-checks nothing.
@@ -208,23 +210,15 @@ class EncodedDataset:
     sample_ids: np.ndarray
     features: np.ndarray
     label_indices: np.ndarray
-    one_hots: np.ndarray
     class_count: int
+    one_hots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = np.array(self.sample_ids, dtype=np.int64, copy=True).reshape(-1)
         features = _as_matrix(self.features, "features")
         labels = np.array(self.label_indices, dtype=np.int64, copy=True).reshape(-1)
-        one_hots = _as_matrix(self.one_hots, "one_hots")
-        if one_hots.shape[1] != self.class_count:
-            raise ContractViolation(
-                f"one_hots width {one_hots.shape[1]} does not match class_count "
-                f"{self.class_count}"
-            )
-        _check_rows(ids, labels, features=features, one_hots=one_hots)
-        # one-hot rows whose 1 sits at the label index: labels are in range
-        if len(labels) and not np.array_equal(one_hots.argmax(axis=1), labels):
-            raise ContractViolation("one_hots must match label_indices exactly")
+        _check_rows(ids, features=features, labels=labels, class_count=self.class_count)
+        one_hots = (labels[:, None] == np.arange(self.class_count)).astype(np.float64)
         self._seal(ids, features, labels, one_hots)
 
     def _seal(self, ids, features, labels, one_hots):
@@ -245,15 +239,6 @@ class EncodedDataset:
         object.__setattr__(dataset, "class_count", class_count)
         dataset._seal(ids, features, labels, one_hots)
         return dataset
-
-    @classmethod
-    def from_features(cls, sample_ids, features, label_indices, class_count):
-        """The dataset whose one-hot rows encode `label_indices`; an
-        out-of-range label leaves a row without a 1, which the constructor
-        rejects."""
-        labels = np.asarray(label_indices, dtype=np.int64).reshape(-1)
-        one_hots = labels[:, None] == np.arange(class_count)
-        return cls(sample_ids, features, labels, one_hots, class_count)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -317,28 +302,17 @@ class EncodedDataset:
         return digest.hexdigest()
 
 
-def encode(
-    extractor: FeatureExtractor, raw: RawDataset, class_count: int | None = None
-) -> EncodedDataset:
-    """Extract every raw row, preserving order and ids.
-
-    A label outside [0, class_count) is an InputError naming its row.
-    """
+def encode(extractor: FeatureExtractor, raw: RawDataset) -> EncodedDataset:
+    """Extract every raw row, preserving order, ids, labels and class count."""
     if raw.input_dim != extractor.input_dim and len(raw) > 0:
         raise ContractViolation(
             f"dataset input_dim {raw.input_dim} does not match extractor "
             f"input_dim {extractor.input_dim}"
         )
-    n_classes = raw.class_count if class_count is None else class_count
-    bad = np.flatnonzero((raw.labels < 0) | (raw.labels >= n_classes))
-    if bad.size:
-        raise InputError(
-            f"row {bad[0]}: label {raw.labels[bad[0]]} out of range [0, {n_classes})"
-        )
     # an empty dataset of any width encodes to no rows
     inputs = raw.inputs.reshape(-1, extractor.input_dim)
-    return EncodedDataset.from_features(
-        raw.sample_ids, extractor.extract_rows(inputs), raw.labels, n_classes
+    return EncodedDataset(
+        raw.sample_ids, extractor.extract_rows(inputs), raw.labels, raw.class_count
     )
 
 
@@ -370,7 +344,9 @@ def load_csv(path, class_count: int | None = None):
 
     Returns an EncodedDataset for `f`-prefixed columns or a RawDataset for
     `x`-prefixed ones.  class_count defaults to max(label) + 1, and then
-    every label must be below MAX_CLASSES.  The body is parsed in one
+    every label must be below MAX_CLASSES; against a given class_count the
+    dataset checks each label, naming the sample id of one out of range.
+    The body is parsed in one
     np.loadtxt pass; any row that pass cannot take as-is sends the whole
     body through the line parser, which accepts the same inputs and names
     the line of the first bad row, a label beyond MAX_CLASSES included.  A
@@ -412,20 +388,15 @@ def load_csv(path, class_count: int | None = None):
             f"line 1: data columns must be exactly {prefix}0..{prefix}{width - 1}"
         )
     body = lines[reader.line_num :]
-    # an inferred class count is bounded; a given one is checked below
+    # an inferred class count is bounded; the dataset checks a given one
     limit = MAX_CLASSES if class_count is None else 2**63
     ids, labels, values = (
         _parse_body(body, width, limit) or _parse_lines(body, width, limit)
     )
     if class_count is None:
         class_count = int(labels.max()) + 1 if labels.size else 0
-    if labels.size and labels.max() >= class_count:
-        raise InputError(
-            f"label {labels.max()} out of range for class_count {class_count}"
-        )
-    if prefix == "x":
-        return RawDataset(ids, values, labels, class_count)
-    return EncodedDataset.from_features(ids, values, labels, class_count)
+    dataset = RawDataset if prefix == "x" else EncodedDataset
+    return dataset(ids, values, labels, class_count)
 
 
 # numpy strips these ASCII separators as whitespace; int() and float() reject

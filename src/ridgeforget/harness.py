@@ -21,6 +21,7 @@ from .core import (
     AnalyticModel,
     FeatureBatch,
     TrackingMatrix,
+    _check_batch_dims,
     _check_pair,
     joint_fit,
     learn_update,
@@ -39,7 +40,9 @@ from .verify import GapReport, SampleLedger, gap_report
 
 @dataclass(frozen=True)
 class RequestStream:
-    """Ordered learn batches followed by ordered forget batches."""
+    """Ordered learn batches followed by ordered forget batches.  validate
+    checks each batch's dimensions against a state, through core's
+    _check_batch_dims, before any request runs."""
 
     learn_requests: tuple
     forget_requests: tuple
@@ -48,31 +51,13 @@ class RequestStream:
         object.__setattr__(self, "learn_requests", tuple(self.learn_requests))
         object.__setattr__(self, "forget_requests", tuple(self.forget_requests))
 
-    def batch_dims(self):
-        """(feature_dim, class_count) shared by every batch, or None if the
-        stream has no batches."""
-        dims = None
-        for batch in self.learn_requests + self.forget_requests:
-            here = (batch.feature_dim, batch.class_count)
-            if dims is None:
-                dims = here
-            elif here != dims:
-                raise ContractViolation(
-                    f"batches disagree on dimensions: {dims} vs {here}"
-                )
-        return dims
-
     def validate(self, state: EngineState) -> None:
         """Enforce stream invariants before any request executes: every
         batch has the state's dimensions, and the ids are replayed on a copy
         of the state's ledger, so a resumed state's learned and forgotten
         ids count too."""
-        dims = self.batch_dims()
-        expected = (state.model.feature_dim, state.model.class_count)
-        if dims is not None and dims != expected:
-            raise ContractViolation(
-                f"stream dims {dims} do not match state dims {expected}"
-            )
+        for batch in self.learn_requests + self.forget_requests:
+            _check_batch_dims(batch, state.model.feature_dim, state.model.class_count)
         replay = state.ledger.copy()
         for batch in self.learn_requests:
             replay.record_learn(batch.sample_ids)

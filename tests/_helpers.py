@@ -19,9 +19,15 @@ def rand_batch(rng, n, d_f, d_c, id_start=0):
     return FeatureBatch(features, labels, ids)
 
 
+def stream_dims(stream):
+    """(feature_dim, class_count) of the stream's first batch."""
+    first = (stream.learn_requests + stream.forget_requests)[0]
+    return first.feature_dim, first.class_count
+
+
 def fresh_state(stream, gamma):
-    """An empty EngineState with the stream's dimensions."""
-    return EngineState.fresh(*stream.batch_dims(), gamma)
+    """An empty EngineState with the dimensions of the stream's first batch."""
+    return EngineState.fresh(*stream_dims(stream), gamma)
 
 
 def batch_union(*batches):

@@ -12,7 +12,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from _helpers import fresh_state, rand_batch, rel_fro, solve_weights_oracle
+from _helpers import (
+    fresh_state, rand_batch, rel_fro, solve_weights_oracle, stream_dims,
+)
 
 from ridgeforget import (
     FeatureBatch,
@@ -89,9 +91,9 @@ def replay_collecting_identity(stream, gamma):
     The Gram is rebuilt from scratch from the retained feature rows at each
     request, so the check does not reuse the recursion's own arithmetic.
     """
-    d_f = stream.batch_dims()[0]
+    d_f, d_c = stream_dims(stream)
     tracking = TrackingMatrix.fresh(d_f, gamma)
-    model = AnalyticModel(np.zeros((d_f, stream.batch_dims()[1])), gamma)
+    model = AnalyticModel(np.zeros((d_f, d_c)), gamma)
     rows = {}
     worst = 0.0
 

@@ -255,3 +255,19 @@ def test_resume_writes_state_out_and_leaves_its_input_whole(tmp_path, data_files
     assert _resume(state, train) == 0
     assert state.read_bytes() == out.read_bytes()
     capsys.readouterr()
+
+
+def test_test_data_label_beyond_the_data_classes_exits_1(tmp_path, data_files, capsys):
+    train, _ = data_files
+    test = tmp_path / "test.csv"
+    # train.csv has 4 classes (labels 0..3) and 8 input columns
+    header = "id,label," + ",".join(f"x{k}" for k in range(8))
+    test.write_text(f"{header}\n0,1{',0.5' * 8}\n12,4{',1.0' * 8}\n", encoding="utf-8")
+    code = run_cli(
+        "run", "--data", train, "--test-data", test, "--forget-total", 1,
+        "--requests", 1,
+    )
+    assert code == 1
+    assert "error: label 4 of sample id 12 is out of range [0, 4)" in (
+        capsys.readouterr().err
+    )

@@ -177,11 +177,11 @@ def test_encode_is_within_rounding_of_the_blas_product():
     assert np.linalg.norm(features - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
-def test_encode_error_carries_row_index():
-    extractor = FeatureExtractor.from_seed(1, 2, 3)
-    raw = RawDataset([0, 1, 2], np.zeros((3, 2)), [0, 1, 1], 2)
-    with pytest.raises(InputError, match="row 1"):
-        encode(extractor, raw, class_count=1)
+def test_label_beyond_a_given_class_count_names_its_sample_id(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("id,label,x0,x1\n0,0,0.5,0.25\n9,1,1.0,2.0\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"label 1 of sample id 9 is out of range \[0, 1\)"):
+        load_csv(path, class_count=1)
 
 
 def test_encode_is_referentially_transparent():
@@ -207,7 +207,6 @@ def test_subset_is_read_only_and_equals_validated_construction():
         encoded.sample_ids[rows],
         encoded.features[rows],
         encoded.label_indices[rows],
-        encoded.one_hots[rows],
         encoded.class_count,
     )
     assert subset.class_count == checked.class_count
@@ -221,7 +220,7 @@ def test_subset_is_read_only_and_equals_validated_construction():
 
 
 def test_subset_by_ids_rejects_unknown():
-    encoded = EncodedDataset.from_features([1, 2], np.zeros((2, 3)), [0, 1], 2)
+    encoded = EncodedDataset([1, 2], np.zeros((2, 3)), [0, 1], 2)
     with pytest.raises(ContractViolation, match=r"not present in dataset: \[5\]$"):
         encoded.subset_by_ids([1, 5])
     with pytest.raises(ContractViolation, match=r": \[3, 4, 5, 6, 7\]\.\.\.$"):
@@ -229,7 +228,7 @@ def test_subset_by_ids_rejects_unknown():
 
 
 def _unsorted_ids_dataset():
-    return EncodedDataset.from_features(
+    return EncodedDataset(
         [7, 3, 11, 5], np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], 2
     )
 
@@ -268,7 +267,7 @@ def test_subset_by_ids_matches_a_membership_loop():
     for _ in range(20):
         n = int(rng.integers(0, 40))
         ids = rng.choice(1000, size=n, replace=False)
-        encoded = EncodedDataset.from_features(
+        encoded = EncodedDataset(
             ids, rng.standard_normal((n, 3)), rng.integers(0, 2, n), 2
         )
         wanted = rng.choice(ids, size=int(rng.integers(0, 2 * n + 1))) if n else []
@@ -284,20 +283,16 @@ _NAN_ROWS = np.where(_ROWS == 2.0, np.nan, _ROWS)  # row 1 is not finite
 _ONE_HOTS = np.eye(2)[[0, 1, 0]]
 
 
-def _raw(ids=(0, 1, 2)):
-    return RawDataset(ids, _ROWS, [0, 1, 0], 2)
+def _raw(ids=(0, 1, 2), labels=(0, 1, 0)):
+    return RawDataset(ids, _ROWS, labels, 2)
 
 
-def _encoded(ids=(0, 1, 2), features=_ROWS, labels=(0, 1, 0), one_hots=_ONE_HOTS):
-    return EncodedDataset(ids, features, labels, one_hots, 2)
+def _encoded(ids=(0, 1, 2), features=_ROWS, labels=(0, 1, 0)):
+    return EncodedDataset(ids, features, labels, 2)
 
 
 def _batch(ids=(0, 1, 2), features=_ROWS):
     return FeatureBatch(features, _ONE_HOTS, ids)
-
-
-def _from_features(labels):
-    return EncodedDataset.from_features((0, 1, 2), _ROWS, labels, 2)
 
 
 _SHARED_BAD_ROWS = {
@@ -324,14 +319,13 @@ _SHARED_BAD_ROWS = {
         for build in (_encoded, _batch)
     ]
     + [
-        pytest.param(_encoded, {"labels": (0, 0, 0)}, ContractViolation,
-                     "match label_indices", id="encoded-one-hots-disagree"),
-        pytest.param(_encoded, {"one_hots": np.eye(3)[[0, 1, 0]]}, ContractViolation,
-                     "width", id="encoded-one-hot-width"),
-        pytest.param(_from_features, {"labels": (0, 2, 0)}, ContractViolation,
-                     None, id="from-features-label-out-of-range"),
-        pytest.param(_from_features, {"labels": (0, -1, 0)}, ContractViolation,
-                     None, id="from-features-negative-label"),
+        pytest.param(
+            build, {"ids": (0, 7, 2), "labels": (0, label, 0)}, InputError,
+            rf"label {label} of sample id 7 is out of range \[0, 2\)",
+            id=f"{build.__name__[1:]}-{name}",
+        )
+        for build in (_raw, _encoded)
+        for name, label in (("label-out-of-range", 2), ("negative-label", -1))
     ],
 )
 def test_every_row_container_rejects_bad_rows(build, kwargs, error, message):

@@ -25,7 +25,7 @@ from ridgeforget import (
 
 
 def make_dataset(rng, n, d_f, d_c, id_start=0):
-    return EncodedDataset.from_features(
+    return EncodedDataset(
         np.arange(id_start, id_start + n),
         rng.standard_normal((n, d_f)),
         rng.integers(0, d_c, n),
@@ -177,7 +177,7 @@ def test_stream_dims_must_match_the_state():
     rng = np.random.default_rng(41)
     stream = RequestStream((rand_batch(rng, 6, 4, 2),), ())
     state = EngineState.fresh(3, 2, 1.0)
-    with pytest.raises(ContractViolation, match=r"stream dims \(4, 2\) do not match"):
+    with pytest.raises(ContractViolation, match="batch feature dim 4 does not match 3"):
         run_stream(stream, state)
     assert state.ledger.learned_ids == set()
 

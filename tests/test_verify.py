@@ -27,7 +27,7 @@ from ridgeforget.verify import fit_member_threshold, residual_scores
 
 
 def dataset_from_batch(batch, class_count):
-    return EncodedDataset.from_features(
+    return EncodedDataset(
         batch.sample_ids, batch.features, np.argmax(batch.labels, axis=1), class_count
     )
 
@@ -123,7 +123,7 @@ def test_accuracy_memorizing_model_scores_100():
 def test_accuracy_zero_model_on_balanced_two_classes_is_50():
     features = np.random.default_rng(0).standard_normal((10, 3))
     labels = np.array([0, 1] * 5)
-    dataset = EncodedDataset.from_features(np.arange(10), features, labels, 2)
+    dataset = EncodedDataset(np.arange(10), features, labels, 2)
     model = AnalyticModel(np.zeros((3, 2)), 1.0)
     assert accuracy(model, dataset) == 50.0
 
@@ -132,7 +132,7 @@ def test_accuracy_matches_straight_recount():
     rng = np.random.default_rng(73)
     features = rng.standard_normal((30, 5))
     labels = rng.integers(0, 3, 30)
-    dataset = EncodedDataset.from_features(np.arange(30), features, labels, 3)
+    dataset = EncodedDataset(np.arange(30), features, labels, 3)
     model = AnalyticModel(rng.standard_normal((5, 3)), 1.0)
     got = accuracy(model, dataset)
     _, classes = predict(model, features)
@@ -142,7 +142,7 @@ def test_accuracy_matches_straight_recount():
 
 def test_accuracy_empty_rows_is_input_error():
     model = AnalyticModel(np.zeros((3, 2)), 1.0)
-    empty = EncodedDataset.from_features(
+    empty = EncodedDataset(
         np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0, np.int64), 2
     )
     with pytest.raises(InputError):
@@ -256,7 +256,7 @@ def test_mia_gap_survives_identical_score_distributions():
     )
     # test rows duplicate the retained rows' content under fresh ids
     retained = dataset.subset_by_ids(ledger.retained_ids)
-    test_rows = EncodedDataset.from_features(
+    test_rows = EncodedDataset(
         retained.sample_ids + 1000,
         retained.features,
         retained.label_indices,
