@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import DEFAULT_GAMMA
+from .core import DEFAULT_GAMMA, _check_seed
 from .errors import InputError, RidgeForgetError, StateFormatError
 from .features import (
     EncodedDataset,
@@ -34,14 +34,15 @@ from .harness import EngineState, build_forget_stream, build_stream, run_stream
 from .state import load_state, save_state
 from .verify import GAP_CSV_HEADER, gap_report
 
-RUN_CSV_HEADER = (
-    "kind,request,batch_size,wall_time_seconds,"
-    "delta_params,delta_retain,delta_forget,delta_test,delta_mia"
+# the report's own columns, then GAP_CSV_HEADER's gap columns in its order
+RUN_CSV_HEADER = ",".join(
+    ["kind", "request", "batch_size", "wall_time_seconds"]
+    + GAP_CSV_HEADER.split(",")[1:]
 )
 
 
 def _derive_extractor_seed(seed: int) -> int:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(2,))
+    seq = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=(2,))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -158,7 +159,12 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     from .harness import bench_scaling
 
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError as exc:
+        raise InputError(
+            f"--sizes must be a comma list of integers, got {args.sizes!r}"
+        ) from exc
     rows = bench_scaling(
         sizes, args.forget_size, args.dfeat, args.repeats,
         gamma=args.gamma, seed=args.seed,

@@ -59,6 +59,13 @@ DEFAULT_GAMMA = 1e-3
 # Allowed relative asymmetry of a tracking matrix.
 SYMMETRY_RTOL = 1e-10
 
+# Largest feature dimension d.  T is a dense d x d float64 matrix, and a
+# request holds T and T' at once: 256 MiB at 2**12, four times the widest
+# benchmark workload (d = 1024, T = 8 MB), where a request's O(d^2 m) update
+# costs about 16 times as much.  Unbounded, one CSV header of 60,000 feature
+# columns asks for 27 GiB per d x d matrix.
+MAX_FEATURE_DIM = 2**12
+
 # Side of the tiles in which a triangle is mirrored; a tile pair fits in L1.
 _MIRROR_TILE = 64
 _TILE_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
@@ -172,6 +179,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_seed(seed) -> int:
+    """`seed` as an int, if it fits in 64 unsigned bits (the width a saved
+    extractor recipe stores)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ContractViolation(f"seed must fit in 64 unsigned bits: {seed!r}")
+    return int(seed)
+
+
+def _check_feature_dim(feature_dim) -> int:
+    """`feature_dim` as an int, if it lies in [1, MAX_FEATURE_DIM]; checked
+    before anything of size d^2 is allocated."""
+    if not (
+        isinstance(feature_dim, numbers.Integral) and 1 <= feature_dim <= MAX_FEATURE_DIM
+    ):
+        raise ContractViolation(
+            f"feature_dim must lie in [1, {MAX_FEATURE_DIM}], got {feature_dim!r}"
+        )
+    return int(feature_dim)
+
+
 def _check_gamma(gamma) -> float:
     """`gamma` as a Python float, if it is a finite real > 0."""
     if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma) and gamma > 0):
@@ -256,8 +283,7 @@ class TrackingMatrix:
     @classmethod
     def fresh(cls, feature_dim: int, gamma: float) -> "TrackingMatrix":
         """Tracking matrix of the empty retained set: (gamma I)^(-1)."""
-        if feature_dim <= 0:
-            raise ContractViolation(f"feature_dim must be > 0, got {feature_dim}")
+        feature_dim = _check_feature_dim(feature_dim)
         gamma = _check_gamma(gamma)
         return cls(np.eye(feature_dim) / gamma, gamma)
 

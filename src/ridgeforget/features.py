@@ -33,7 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FeatureBatch, _as_matrix, _check_rows
+from .core import (
+    MAX_FEATURE_DIM, FeatureBatch, _as_matrix, _check_feature_dim, _check_rows,
+    _check_seed,
+)
 from .errors import ContractViolation, InputError
 
 NONLINEARITIES = ("relu", "identity")
@@ -62,15 +65,7 @@ class FeatureExtractor:
     projection: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ContractViolation(f"seed must fit in 64 unsigned bits: {self.seed}")
-        if self.input_dim <= 0 or self.feature_dim <= 0:
-            raise ContractViolation("input_dim and feature_dim must be positive")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ContractViolation(
-                f"nonlinearity must be one of {NONLINEARITIES}, "
-                f"got {self.nonlinearity!r}"
-            )
+        self._check_recipe(self.seed, self.input_dim, self.feature_dim, self.nonlinearity)
         projection = np.array(self.projection, dtype=np.float64, order="C", copy=True)
         if projection.shape != (self.input_dim, self.feature_dim):
             raise ContractViolation(
@@ -80,6 +75,17 @@ class FeatureExtractor:
         projection.setflags(write=False)
         object.__setattr__(self, "projection", projection)
 
+    @staticmethod
+    def _check_recipe(seed, input_dim, feature_dim, nonlinearity):
+        _check_seed(seed)
+        if input_dim <= 0:
+            raise ContractViolation(f"input_dim must be positive, got {input_dim}")
+        _check_feature_dim(feature_dim)
+        if nonlinearity not in NONLINEARITIES:
+            raise ContractViolation(
+                f"nonlinearity must be one of {NONLINEARITIES}, got {nonlinearity!r}"
+            )
+
     @classmethod
     def from_seed(
         cls,
@@ -88,7 +94,9 @@ class FeatureExtractor:
         feature_dim: int,
         nonlinearity: str = "relu",
     ) -> "FeatureExtractor":
-        """Draw the projection once from `seed` and freeze it."""
+        """Draw the projection once from `seed` and freeze it; the recipe is
+        checked before anything is drawn."""
+        cls._check_recipe(seed, input_dim, feature_dim, nonlinearity)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         projection = rng.standard_normal((input_dim, feature_dim)) / math.sqrt(
             input_dim
@@ -169,8 +177,7 @@ class SyntheticSpec:
             )
         if not (math.isfinite(self.cluster_spread) and self.cluster_spread >= 0):
             raise ContractViolation("cluster_spread must be finite and non-negative")
-        if not 0 <= self.seed < 2**64:
-            raise ContractViolation(f"seed must fit in 64 unsigned bits: {self.seed}")
+        _check_seed(self.seed)
 
 
 def generate_synthetic(spec: SyntheticSpec, draw: int = 0) -> RawDataset:
@@ -386,6 +393,10 @@ def load_csv(path, class_count: int | None = None):
     if header[2:] != expected:
         raise InputError(
             f"line 1: data columns must be exactly {prefix}0..{prefix}{width - 1}"
+        )
+    if prefix == "f" and width > MAX_FEATURE_DIM:
+        raise InputError(
+            f"line 1: {width} feature columns exceed MAX_FEATURE_DIM = {MAX_FEATURE_DIM}"
         )
     body = lines[reader.line_num :]
     # an inferred class count is bounded; the dataset checks a given one

@@ -22,7 +22,9 @@ from .core import (
     FeatureBatch,
     TrackingMatrix,
     _check_batch_dims,
+    _check_feature_dim,
     _check_pair,
+    _check_seed,
     joint_fit,
     learn_update,
     unlearn_model,
@@ -127,7 +129,9 @@ def _forget_batches(
     dataset: EncodedDataset, forget_total: int, forget_requests: int, seed: int
 ) -> tuple:
     """Sample a forget pool of `forget_total` rows of `dataset` under `seed`
-    and split it, in draw order, into `forget_requests` disjoint batches."""
+    and split it, in draw order, into `forget_requests` disjoint batches.
+    Both stream builders check their seed here, before drawing anything."""
+    seed = _check_seed(seed)
     if forget_requests < 1:
         raise InputError(f"forget_requests must be >= 1, got {forget_requests}")
     if forget_total < 0 or forget_total > len(dataset):
@@ -255,15 +259,17 @@ def bench_scaling(
     repeats: int,
     gamma: float = DEFAULT_GAMMA,
     seed: int = 0,
-    class_count: int = 2,
 ):
     """Mean/std wall time of one forget request at several retained sizes.
 
     Each measurement starts from the same fitted immutable state for its
     size and removes a freshly sampled batch, so the retained size is
     exactly N for every repeat.  Per-request cost must not grow with N:
-    the update never touches retained rows.
+    the update never touches retained rows.  Labels are drawn from two
+    classes.
     """
+    seed = _check_seed(seed)
+    _check_feature_dim(feature_dim)
     if repeats < 0:
         raise InputError(f"repeats must be >= 0, got {repeats}")
     if repeats == 0:
@@ -280,8 +286,8 @@ def bench_scaling(
             np.random.SeedSequence(entropy=seed, spawn_key=(int(size),))
         )
         features = rng.standard_normal((size, feature_dim))
-        labels = np.zeros((size, class_count))
-        labels[np.arange(size), rng.integers(0, class_count, size)] = 1.0
+        labels = np.zeros((size, 2))
+        labels[np.arange(size), rng.integers(0, 2, size)] = 1.0
         batch = FeatureBatch(features, labels, np.arange(size, dtype=np.int64))
         model, tracking = joint_fit(batch, gamma)
 

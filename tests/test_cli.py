@@ -1,9 +1,11 @@
 import csv
+import tracemalloc
 
 import pytest
 
 from ridgeforget import load_state
 from ridgeforget.cli import main
+from ridgeforget.core import MAX_FEATURE_DIM
 
 
 def run_cli(*argv):
@@ -271,3 +273,55 @@ def test_test_data_label_beyond_the_data_classes_exits_1(tmp_path, data_files, c
     assert "error: label 4 of sample id 12 is out of range [0, 4)" in (
         capsys.readouterr().err
     )
+
+
+_OVER = MAX_FEATURE_DIM + 1
+_RUN = ("run", "--data", "{train}", "--forget-total", 1, "--requests", 1)
+_BENCH = ("bench", "--sizes", 20, "--forget-size", 5, "--dfeat", 4, "--repeats", 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [((*_RUN, "--seed", -1), "seed must fit in 64 unsigned bits: -1"),
+     (("resume", "--state", "{state}", "--data", "{train}", "--forget-total", 1,
+       "--requests", 1, "--seed", -1), "seed must fit in 64 unsigned bits: -1"),
+     ((*_BENCH, "--seed", -1), "seed must fit in 64 unsigned bits: -1"),
+     ((*_RUN, "--feature-dim", -3), f"feature_dim must lie in [1, {MAX_FEATURE_DIM}]"),
+     ((*_RUN, "--feature-dim", _OVER), f"got {_OVER}"),
+     (("run", "--data", "{wide}", "--forget-total", 1, "--requests", 1),
+      f"line 1: {_OVER} feature columns exceed MAX_FEATURE_DIM"),
+     ((*_BENCH, "--sizes", "abc"), "--sizes must be a comma list of integers"),
+     ((*_BENCH, "--dfeat", 0), "feature_dim must lie in"),
+     ((*_BENCH, "--dfeat", -2), "feature_dim must lie in"),
+     ((*_BENCH, "--dfeat", _OVER), f"got {_OVER}")],
+    ids=["run-seed-negative", "resume-seed-negative", "bench-seed-negative",
+         "run-feature-dim-negative", "run-feature-dim-over-bound",
+         "feature-csv-over-bound", "bench-sizes-not-integers", "bench-dfeat-zero",
+         "bench-dfeat-negative", "bench-dfeat-over-bound"],
+)
+def test_bad_value_exits_1_before_allocating(tmp_path, data_files, capsys, argv, message):
+    train, _ = data_files
+    state = tmp_path / "run.state"
+    wide = tmp_path / "wide.csv"
+    header = "id,label," + ",".join(f"f{k}" for k in range(_OVER))
+    wide.write_text(f"{header}\n0,0{',0.5' * _OVER}\n1,1{',1.0' * _OVER}\n",
+                    encoding="utf-8")
+
+    def filled(args):
+        return [str(a).format(train=train, state=state, wide=wide) for a in args]
+
+    if "{state}" in argv:
+        assert run_cli(*filled(_RUN), "--feature-dim", 8, "--state", state) == 0
+        capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_cli(*filled(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    # a d x d float64 matrix at the bound is 128 MiB; the check comes first
+    assert peak < 8 * MAX_FEATURE_DIM**2 // 16

@@ -450,6 +450,20 @@ def test_csv_label_beyond_the_class_bound_names_its_line(tmp_path):
             load_csv(path)
 
 
+def test_feature_csv_width_is_bounded_at_its_header(tmp_path):
+    path = tmp_path / "wide.csv"
+
+    def write(width):
+        header = "id,label," + ",".join(f"f{k}" for k in range(width))
+        path.write_text(f"{header}\n0,0{',0.5' * width}\n", encoding="utf-8")
+
+    write(features.MAX_FEATURE_DIM)
+    assert load_csv(path).feature_dim == features.MAX_FEATURE_DIM
+    write(features.MAX_FEATURE_DIM + 1)
+    with pytest.raises(InputError, match=rf"line 1: {features.MAX_FEATURE_DIM + 1} feature"):
+        load_csv(path)
+
+
 def test_csv_with_a_non_utf8_byte_names_its_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"id,label,x0\r\n0,0,1.0\r\n1,1,\xff2.0\r\n")
