@@ -20,8 +20,10 @@ COND_LIMIT, means the rows were not in the tracked Gram.  T' and W' equal
 the joint fit on the survivors to float64 precision.  Validation runs once,
 at trust boundaries: FeatureBatch, the row containers of `features` and the
 public TrackingMatrix constructor (also used by state loading).  The row
-invariants are written once, in _check_rows, and the gamma check once, in
-_check_gamma; update outputs keep shape and finiteness.
+invariants (labels in range among them) are written once, in _check_rows,
+batch dimensions once, in _check_batch_dims, and the gamma, seed and
+feature-dimension checks once each; update outputs keep shape and
+finiteness.
 The seven kernels come from scipy's f2py modules _fblas and _flapack, loaded
 from their files without importing scipy.linalg (or through scipy.linalg
 when that fails).  Importing this module sets every bundled OpenBLAS copy to
