@@ -30,7 +30,13 @@ from .features import (
     load_csv,
     write_csv,
 )
-from .harness import EngineState, build_forget_stream, build_stream, run_stream
+from .harness import (
+    EngineState,
+    bench_scaling,
+    build_forget_stream,
+    build_stream,
+    run_stream,
+)
 from .state import load_state, save_state
 from .verify import GAP_CSV_HEADER, gap_report
 
@@ -57,6 +63,16 @@ def _encode_dataset(path, extractor, class_count=None):
             "use a feature-mode CSV or a state saved with an extractor"
         )
     return encode(extractor, dataset)
+
+
+def _emit(path, lines):
+    """Write `lines` to `path`, or print them when no path is given."""
+    text = "\n".join(lines)
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    else:
+        print(text)
 
 
 def _write_run_report(path, record):
@@ -147,18 +163,11 @@ def _cmd_verify(args) -> int:
         args.test_data, state.extractor, class_count=encoded.class_count
     )
     report = gap_report(state.model, encoded, state.ledger, test_rows, 0)
-    lines = [GAP_CSV_HEADER, report.to_csv_row()]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    else:
-        print("\n".join(lines))
+    _emit(args.out, [GAP_CSV_HEADER, report.to_csv_row()])
     return 0
 
 
 def _cmd_bench(args) -> int:
-    from .harness import bench_scaling
-
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
@@ -175,11 +184,7 @@ def _cmd_bench(args) -> int:
             f"{row.retained_size},{row.forget_size},{row.feature_dim},"
             f"{row.repeats},{row.mean_seconds!r},{row.std_seconds!r}"
         )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    else:
-        print("\n".join(lines))
+    _emit(args.out, lines)
     return 0
 
 

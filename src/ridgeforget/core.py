@@ -9,8 +9,8 @@ Van Loan, Matrix Computations, sec. 6.5):
   I - s F T F^T = L L^T   (Cholesky)      G  = L^(-1) F T   (TRSM)
   T' = T + s G^T G        (SYRK)          W' = W + s T' F^T (F W - Y)
 
-and T' F^T r = (F T)^T r + s G^T (G F^T r) takes the weight step in
-O(d m c) without reading T' (the product form in Hager, SIAM Review 1989).
+and T' F^T = G^T L^(-1) takes the weight step in O(m^2 c + d m c) without
+reading T' (the gain form of the update; Hager, SIAM Review 1989).
 
 With at least as many rows as columns the smaller d x d dual form runs:
 T = K K^T, I - s K^T F^T F K = R R^T, T' = M M^T with M = K R^(-T).  SYRK
@@ -247,7 +247,7 @@ class TrackingMatrix:
 
     matrix: np.ndarray
     gamma: float
-    # (batch, s, (F T)^T, G^T) of the primal update that made this matrix
+    # (batch, G^T, L) of the primal update that made this matrix
     _update = None
 
     def __post_init__(self):
@@ -427,14 +427,14 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float) -> np.ndarray:
-    """rhs L^(-T) in place, with L L^T = I - s * part formed over the PSD
-    `part`.  The removal guard anchors the condition estimate at the core's
-    natural scale 1: a core that cancelled down to ~eps is singular even
-    though its own relative conditioning can look perfect."""
+def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float):
+    """(L, rhs L^(-T)), L L^T = I - s * part factored over the PSD `part`;
+    both inputs are overwritten.  The removal guard anchors the condition
+    estimate at the core's natural scale 1: a core that cancelled down to ~eps
+    is singular even though its own relative conditioning can look perfect."""
     part *= -s
     part.flat[:: part.shape[0] + 1] += 1.0
-    anorm = np.linalg.norm(part, 1)
+    anorm = np.linalg.norm(part, 1) if s > 0 else None
     factor, info = lapack.dpotrf(part.T, lower=1, clean=0, overwrite_a=1)
     if s < 0 and info != 0:
         # I plus a PSD matrix (and PD T) cannot fail for valid state.
@@ -447,7 +447,7 @@ def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float) -> np.ndarray:
                 "removal core is singular or ill-conditioned "
                 f"(condition estimate {estimate:.3e})"
             )
-    return blas.dtrsm(1.0, factor, rhs, side=1, lower=1, trans_a=1, overwrite_b=1)
+    return factor, blas.dtrsm(1.0, factor, rhs, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
 def _rank_update(tracking: TrackingMatrix, batch: FeatureBatch, s: float) -> TrackingMatrix:
@@ -463,35 +463,34 @@ def _rank_update(tracking: TrackingMatrix, batch: FeatureBatch, s: float) -> Tra
         try:
             ft_t = blas.dgemm(1.0, t.T, f.T)  # (F T)^T = T^T F^T
             part = blas.dgemm(1.0, f.T, ft_t, trans_a=1).T  # F T F^T
-            g_t = _core_solve(part, ft_t.copy("F"), s)  # G^T = (F T)^T L^(-T)
+            factor, g_t = _core_solve(part, ft_t, s)  # G^T = (F T)^T L^(-T), in place
             new_t = blas.dsyrk(s, g_t, beta=1.0, c=t.T.copy("F"), lower=1, overwrite_c=1)
         finally:
             if threaded:
                 _use_host_blas_threads(False)
-        update = (batch, s, ft_t, g_t)
+        update = (batch, g_t, factor)
     else:  # the d x d system is smaller, and T' = M M^T subtracts nothing
         chol, info = lapack.dpotrf(t.T, lower=1, clean=1)
         if info != 0:
             raise StateIntegrityError("tracking matrix is not positive definite")
         f_chol = f @ chol
-        new_t = blas.dsyrk(1.0, _core_solve(f_chol.T @ f_chol, chol, s), lower=1)
+        new_t = blas.dsyrk(1.0, _core_solve(f_chol.T @ f_chol, chol, s)[1], lower=1)
     return TrackingMatrix._trusted(_mirror_lower(new_t).T, tracking.gamma, update)
 
 
 def _weight_step(model: AnalyticModel, tracking: TrackingMatrix, batch: FeatureBatch, s: float):
     """W' = W + s T' F^T r, r = F W - Y, for the updated T' = tracking.  When
-    T' records its update of this same batch, T' F^T r comes from that
-    update's F T and G; otherwise from one pass over T'."""
+    T' records its update of this same batch, T' F^T r = G^T L^(-1) r comes
+    from that update's G and L; otherwise from one pass over T'."""
     f = batch.features
-    r_t = (f @ model.weights - batch.labels).T  # Fortran, so dgemm copies nothing
-    fr = blas.dgemm(1.0, f.T, r_t, trans_b=1)  # F^T r
+    r_t = (f @ model.weights - batch.labels).T  # Fortran, so BLAS copies nothing
     update = tracking._update
     if update is not None and update[0] is batch:
-        _, sign, ft_t, g_t = update
-        step = blas.dgemm(1.0, ft_t, r_t, trans_b=1)  # (F T)^T r
-        gfr = blas.dgemm(1.0, g_t, fr, trans_a=1)  # G F^T r
-        step = blas.dgemm(sign, g_t, gfr, beta=1.0, c=step, overwrite_c=1)
+        _, g_t, factor = update
+        lr_t = blas.dtrsm(1.0, factor, r_t, side=1, lower=1, trans_a=1, overwrite_b=1)
+        step = blas.dgemm(1.0, g_t, lr_t, trans_b=1)  # G^T (L^(-1) r)
     else:
+        fr = blas.dgemm(1.0, f.T, r_t, trans_b=1)  # F^T r
         step = blas.dgemm(1.0, tracking.matrix.T, fr, trans_a=1)  # T' F^T r
     return AnalyticModel(model.weights + s * step, model.gamma)
 
@@ -564,8 +563,8 @@ def unlearn_model(
     """Remove a batch's influence from the weights: W' = W + T' F^T (F W - Y)
     with T' the tracking matrix ALREADY updated for this forget batch.  W'
     equals the joint fit on the surviving rows.  Given unlearn_tracking's
-    own output for this same batch object, the step costs O(d m c) and does
-    not read T'.
+    own output for this same batch object, the step costs O(m^2 c + d m c)
+    and does not read T'.
     """
     _check_pair(tracking_after, model)
     _check_batch_dims(forget, model.feature_dim, model.class_count)

@@ -11,6 +11,7 @@ one weight update from the core module.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .core import (
     TrackingMatrix,
     _check_batch_dims,
     _check_feature_dim,
+    _check_gamma,
     _check_pair,
     _check_seed,
     joint_fit,
@@ -36,7 +38,7 @@ from .errors import (
     RidgeForgetError,
     RunAbortedError,
 )
-from .features import EncodedDataset, FeatureExtractor
+from .features import MAX_CLASSES, EncodedDataset, FeatureExtractor
 from .verify import GapReport, SampleLedger, gap_report
 
 
@@ -118,9 +120,17 @@ class EngineState:
         gamma: float = DEFAULT_GAMMA,
         extractor: FeatureExtractor | None = None,
     ) -> "EngineState":
-        if class_count <= 0:
-            raise ContractViolation(f"class_count must be > 0, got {class_count}")
-        model = AnalyticModel(np.zeros((feature_dim, class_count)), gamma)
+        """W = 0 and T = (gamma I)^(-1); both dimensions and gamma are
+        checked before anything is allocated."""
+        feature_dim = _check_feature_dim(feature_dim)
+        gamma = _check_gamma(gamma)
+        if not (
+            isinstance(class_count, numbers.Integral) and 1 <= class_count <= MAX_CLASSES
+        ):
+            raise ContractViolation(
+                f"class_count must lie in [1, {MAX_CLASSES}], got {class_count!r}"
+            )
+        model = AnalyticModel(np.zeros((feature_dim, int(class_count))), gamma)
         return cls(model, TrackingMatrix.fresh(feature_dim, gamma),
                    SampleLedger(), extractor)
 
@@ -129,14 +139,22 @@ def _forget_batches(
     dataset: EncodedDataset, forget_total: int, forget_requests: int, seed: int
 ) -> tuple:
     """Sample a forget pool of `forget_total` rows of `dataset` under `seed`
-    and split it, in draw order, into `forget_requests` disjoint batches.
-    Both stream builders check their seed here, before drawing anything."""
+    and split it, in draw order, into `forget_requests` disjoint non-empty
+    batches; a forget_total of 0 makes no batch.  Both stream builders check
+    their seed here, before drawing anything."""
     seed = _check_seed(seed)
     if forget_requests < 1:
         raise InputError(f"forget_requests must be >= 1, got {forget_requests}")
     if forget_total < 0 or forget_total > len(dataset):
         raise InputError(
             f"forget_total must lie in [0, {len(dataset)}], got {forget_total}"
+        )
+    if forget_total == 0:
+        return ()
+    if forget_requests > forget_total:
+        raise InputError(
+            f"forget_requests {forget_requests} exceeds forget_total {forget_total}, "
+            "which would make empty requests"
         )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     pool = rng.choice(len(dataset), size=forget_total, replace=False)

@@ -106,6 +106,21 @@ def test_bad_input_exits_1(tmp_path, data_files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_zero_forget_total_learns_only_and_resumes_to_the_same_state(
+    tmp_path, data_files, capsys
+):
+    train, _ = data_files
+    state = tmp_path / "run.state"
+    assert run_cli("run", "--data", train, "--forget-total", 0, "--state", state) == 0
+    assert "8 learn + 0 forget requests" in capsys.readouterr().out
+    saved = state.read_bytes()
+    assert run_cli(
+        "resume", "--state", state, "--data", train, "--forget-total", 0, "--requests", 1,
+    ) == 0
+    assert "resumed: 0 forget requests" in capsys.readouterr().out
+    assert state.read_bytes() == saved
+
+
 def test_non_finite_features_exit_1(tmp_path, capsys):
     data = tmp_path / "nan.csv"
     data.write_text("id,label,f0,f1\n0,0,0.5,0.25\n1,1,nan,1.0\n", encoding="utf-8")
@@ -293,11 +308,14 @@ _BENCH = ("bench", "--sizes", 20, "--forget-size", 5, "--dfeat", 4, "--repeats",
      ((*_BENCH, "--sizes", "abc"), "--sizes must be a comma list of integers"),
      ((*_BENCH, "--dfeat", 0), "feature_dim must lie in"),
      ((*_BENCH, "--dfeat", -2), "feature_dim must lie in"),
-     ((*_BENCH, "--dfeat", _OVER), f"got {_OVER}")],
+     ((*_BENCH, "--dfeat", _OVER), f"got {_OVER}"),
+     (("run", "--data", "{train}", "--forget-total", 10, "--requests", 20),
+      "forget_requests 20 exceeds forget_total 10")],
     ids=["run-seed-negative", "resume-seed-negative", "bench-seed-negative",
          "run-feature-dim-negative", "run-feature-dim-over-bound",
          "feature-csv-over-bound", "bench-sizes-not-integers", "bench-dfeat-zero",
-         "bench-dfeat-negative", "bench-dfeat-over-bound"],
+         "bench-dfeat-negative", "bench-dfeat-over-bound",
+         "run-more-requests-than-forget-rows"],
 )
 def test_bad_value_exits_1_before_allocating(tmp_path, data_files, capsys, argv, message):
     train, _ = data_files

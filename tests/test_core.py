@@ -554,10 +554,14 @@ def test_unlearn_model_matches_joint_fit_oracle():
     assert rel_fro(after_model.weights, want) <= 1e-8
 
 
-@pytest.mark.parametrize("d, m", [(40, 10), _threaded_size()], ids=["small", "threaded"])
+@pytest.mark.parametrize(
+    "d, m", [(40, 10), _threaded_size(), (40, 39)],
+    ids=["small", "threaded", "largest-primal-core"],
+)
 def test_weight_step_paths_agree_with_a_refit(d, m):
-    # unlearn_model takes T' F^T r from the update's F T and G only for the
-    # batch object unlearn_tracking removed; every other pair reads T'
+    # unlearn_model takes T' F^T r = G^T L^(-1) r from the update's G and L
+    # only for the batch object unlearn_tracking removed; every other pair
+    # reads T'
     rng = np.random.default_rng(89)
     gamma = 0.4
     base = rand_batch(rng, 3 * d, d, 4)
@@ -781,7 +785,7 @@ def test_long_interleaved_stream_drift_stays_bounded():
 
 def test_threaded_interleaved_stream_drift_stays_bounded():
     # 200 alternating learn / forget requests of m rows on the threaded
-    # primal branch, each weight step taken from F T and G
+    # primal branch, each weight step taken from G and L
     rng = np.random.default_rng(97)
     d_f, m = _threaded_size()
     d_c, gamma, steps = 4, 0.1, 200

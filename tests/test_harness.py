@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from _helpers import batch_union, fresh_state, rand_batch, rel_fro
@@ -22,6 +24,8 @@ from ridgeforget import (
     unlearn_model,
     unlearn_tracking,
 )
+from ridgeforget.core import MAX_FEATURE_DIM
+from ridgeforget.features import MAX_CLASSES
 
 
 def make_dataset(rng, n, d_f, d_c, id_start=0):
@@ -86,6 +90,23 @@ def test_forget_total_larger_than_dataset_rejected():
     dataset = make_dataset(np.random.default_rng(4), 10, 3, 2)
     with pytest.raises(InputError):
         build_stream(dataset, 2, 11, 2, seed=0)
+
+
+def test_more_forget_requests_than_forget_rows_rejected():
+    dataset = make_dataset(np.random.default_rng(4), 10, 3, 2)
+    with pytest.raises(InputError, match="forget_requests 4 exceeds forget_total 3"):
+        build_stream(dataset, 2, 3, 4, seed=0)
+    with pytest.raises(InputError, match="forget_requests 4 exceeds forget_total 3"):
+        build_forget_stream(dataset, set(dataset.sample_ids.tolist()), 3, 4, seed=0)
+
+
+def test_zero_forget_total_makes_no_forget_requests():
+    dataset = make_dataset(np.random.default_rng(5), 10, 3, 2)
+    stream = build_stream(dataset, 2, 0, 25, seed=0)
+    assert stream.forget_requests == ()
+    assert sum(len(b) for b in stream.learn_requests) == 10
+    eligible = set(dataset.sample_ids.tolist())
+    assert build_forget_stream(dataset, eligible, 0, 25, seed=0).forget_requests == ()
 
 
 # --------------------------------------------------------------- run_stream
@@ -233,6 +254,32 @@ def test_engine_state_rejects_mismatched_pair(tracking, message):
     model = AnalyticModel(np.zeros((3, 2)), 1.0)
     with pytest.raises(ContractViolation, match=message):
         EngineState(model, tracking, SampleLedger())
+
+
+@pytest.mark.parametrize(
+    "feature_dim, class_count, gamma, message",
+    [(MAX_FEATURE_DIM + 1, 10, 1.0, "feature_dim must lie in"),
+     (2_000_000, 10, 1.0, "feature_dim must lie in"),
+     (2.5, 3, 1.0, "feature_dim must lie in"),
+     (64, 0, 1.0, "class_count must lie in"),
+     (64, MAX_CLASSES + 1, 1.0, "class_count must lie in"),
+     (64, 10**12, 1.0, "class_count must lie in"),
+     (64, 2.5, 1.0, "class_count must lie in"),
+     (64, 3, float("inf"), "gamma must be finite")],
+    ids=["feature-dim-over-bound", "feature-dim-huge", "feature-dim-float",
+         "class-count-zero", "class-count-over-bound", "class-count-huge",
+         "class-count-float", "gamma-infinite"],
+)
+def test_fresh_state_checks_before_allocating(feature_dim, class_count, gamma, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation, match=message):
+            EngineState.fresh(feature_dim, class_count, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # W alone would be 160 MiB at d = 2,000,000 and 32 MiB at c = MAX_CLASSES + 1
+    assert peak < 1 << 20
 
 
 def test_verification_needs_dataset_and_test_rows():
