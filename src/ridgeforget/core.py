@@ -13,8 +13,9 @@ and T' F^T = G^T L^(-1) takes the weight step in O(m^2 c + d m c) without
 reading T' (the gain form of the update; Hager, SIAM Review 1989).
 
 With at least as many rows as columns the smaller d x d dual form runs:
-T = K K^T, I - s K^T F^T F K = R R^T, T' = M M^T with M = K R^(-T).  SYRK
-fills one triangle, mirrored onto the other, so T' is exactly symmetric.
+T = K K^T, I - s K^T F^T F K = R R^T, T' = M M^T with M = K R^(-T).  T is
+kept as the one triangle SYRK fills, which every later kernel reads (DSYMM,
+DPOTRF); the full, exactly symmetric matrix is built only when it is read.
 A removal core that fails Cholesky, or whose condition estimate exceeds
 COND_LIMIT, means the rows were not in the tracked Gram.  T' and W' equal
 the joint fit on the survivors to float64 precision.  Validation runs once,
@@ -24,12 +25,12 @@ invariants (labels in range among them) are written once, in _check_rows,
 batch dimensions once, in _check_batch_dims, and the gamma, seed and
 feature-dimension checks once each; update outputs keep shape and
 finiteness.
-The seven kernels come from scipy's f2py modules _fblas and _flapack, loaded
+The eight kernels come from scipy's f2py modules _fblas and _flapack, loaded
 from their files without importing scipy.linalg (or through scipy.linalg
 when that fails).  Importing this module sets every bundled OpenBLAS copy to
-one thread, and numpy's stays there; scipy's, which serves the seven
-kernels, runs at the host's count in joint_fit and in primal updates with
-m d^2 >= _THREADED_WORK.
+one thread, and numpy's stays there; scipy's, which serves the eight
+kernels, runs at the host's count in joint_fit and in updates with
+min(m, d) d^2 >= _THREADED_WORK.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ SYMMETRY_RTOL = 1e-10
 # columns asks for 27 GiB per d x d matrix.
 MAX_FEATURE_DIM = 2**12
 
-# Side of the tiles in which a triangle is mirrored; a tile pair fits in L1.
-_MIRROR_TILE = 64
-_TILE_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
-
 
 def _load_kernels():
     """(blas, lapack): scipy's modules scipy.linalg._fblas and _flapack, each
@@ -85,7 +82,7 @@ def _load_kernels():
         folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
         modules = []
         for short, kernels in (
-            ("_fblas", ("dgemm", "dsyrk", "dtrsm")),
+            ("_fblas", ("dgemm", "dsymm", "dsyrk", "dtrsm")),
             ("_flapack", ("dpotrf", "dpocon", "dpotrs", "dtrtri")),
         ):
             name = "scipy.linalg." + short
@@ -144,17 +141,17 @@ def _openblas_copies():
 
 
 # (get, set, host thread count) of each OpenBLAS copy.  scipy's gets its
-# import-time count in joint_fit and in primal updates of m d^2 >=
+# import-time count in joint_fit and in updates of min(m, d) d^2 >=
 # _THREADED_WORK; numpy's keeps one thread for good: with both pools awake
 # their idle threads spin against each other (a d=1024, m=100 request took
 # 26-34 ms instead of 13-14 on a 2-vCPU host).
 _OPENBLAS = [(get, put, 1 if suffix else get()) for get, put, suffix in _openblas_copies()]
 
-# Smallest m d^2 at which a primal update runs threaded.  In process on a
-# 2-vCPU host, threading took 0.76-0.98 of the one-thread time at (d, m) =
-# (256, 100), (512, 100), (1024, 10) and (1024, 100), m d^2 >= 6.5e6, and
-# 0.97-1.17 at (256, 1-10) and (512, 1-10), m d^2 <= 2.6e6; (1024, 1), at
-# 1.0e6 and 0.93-1.00, stays on one thread with them (table in CHANGES.md).
+# Smallest work min(m, d) d^2 of scipy's kernels (m d^2 primal, d^3 dual) at
+# which an update runs threaded.  In process on a 2-vCPU host, threading took
+# 0.76-0.98 of the one-thread time at primal m d^2 >= 6.5e6 and dual d^3 >=
+# 1.7e7, 1.00-1.03 at dual d = m = 192 (7.1e6), and 0.93-1.17 at m d^2 or d^3
+# <= 2.6e6, where an m d^2 rule would thread 64 x 1024 duals (CHANGES.md).
 _THREADED_WORK = 2**22
 
 
@@ -242,7 +239,10 @@ class TrackingMatrix:
 
     Square, symmetric (enforced to SYMMETRY_RTOL), and positive definite
     whenever it tracks a valid retained set.  gamma must equal the paired
-    model's gamma.
+    model's gamma.  Updates read only the lower triangle of the Fortran order
+    array `_lower`; the other holds finite values nothing reads (an earlier T,
+    SYRK's zeros).  The full, exactly symmetric `matrix` is built from it on
+    first read.
     """
 
     matrix: np.ndarray
@@ -251,7 +251,8 @@ class TrackingMatrix:
     _update = None
 
     def __post_init__(self):
-        self._seal(_as_matrix(self.matrix, "tracking matrix"), _check_gamma(self.gamma))
+        object.__setattr__(self, "matrix", _freeze(_as_matrix(self.matrix, "tracking matrix")))
+        self._seal(self.matrix.T, _check_gamma(self.gamma))
         scale = max(float(np.linalg.norm(self.matrix)), 1e-300)
         asym = float(np.linalg.norm(self.matrix - self.matrix.T)) / scale
         if asym > SYMMETRY_RTOL:
@@ -260,27 +261,36 @@ class TrackingMatrix:
             )
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, gamma: float, update=None) -> "TrackingMatrix":
-        """Wrap a kernel output, exactly symmetric by construction, without the
-        copy or the asymmetry norm; `matrix` is frozen in place, not copied."""
+    def _trusted(cls, lower: np.ndarray, gamma: float, update=None) -> "TrackingMatrix":
+        """Wrap a kernel output whose lower triangle holds T, without the copy
+        or the asymmetry norm; `lower` is frozen in place, not copied."""
         tracking = object.__new__(cls)
-        tracking._seal(matrix, gamma)
+        tracking._seal(lower, gamma)
         object.__setattr__(tracking, "_update", update)
         return tracking
 
-    def _seal(self, matrix: np.ndarray, gamma: float):
-        if matrix.shape[0] != matrix.shape[1]:
+    def _seal(self, lower: np.ndarray, gamma: float):
+        if lower.shape[0] != lower.shape[1]:
             raise ContractViolation(
-                f"tracking matrix must be square, got {matrix.shape}"
+                f"tracking matrix must be square, got {lower.shape}"
             )
-        if not np.isfinite(matrix).all():
+        if not np.isfinite(lower).all():
             raise ContractViolation("tracking matrix must be finite")
-        object.__setattr__(self, "matrix", _freeze(matrix))
+        object.__setattr__(self, "_lower", _freeze(lower))
         object.__setattr__(self, "gamma", gamma)
+
+    def __getattr__(self, name):
+        # reached only for attributes not yet set: `matrix` of a _trusted T
+        if name != "matrix":
+            raise AttributeError(name)
+        lower = self._lower
+        matrix = _freeze(np.where(np.tri(len(lower), dtype=bool), lower, lower.T))
+        object.__setattr__(self, "matrix", matrix)
+        return matrix
 
     @property
     def feature_dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._lower.shape[0]
 
     @classmethod
     def fresh(cls, feature_dim: int, gamma: float) -> "TrackingMatrix":
@@ -416,17 +426,6 @@ def _check_pair(tracking: TrackingMatrix, model: AnalyticModel):
         )
 
 
-def _mirror_lower(a: np.ndarray) -> np.ndarray:
-    """Copy the strict lower triangle of square `a` onto the upper, in place."""
-    for i in range(0, len(a), _MIRROR_TILE):
-        k = min(i + _MIRROR_TILE, len(a))
-        diag = a[i:k, i:k]
-        np.copyto(diag, diag.T, where=_TILE_UPPER[: k - i, : k - i])
-        for j in range(k, len(a), _MIRROR_TILE):
-            a[i:k, j : j + _MIRROR_TILE] = a[j : j + _MIRROR_TILE, i:k].T
-    return a
-
-
 def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float):
     """(L, rhs L^(-T)), L L^T = I - s * part factored over the PSD `part`;
     both inputs are overwritten.  The removal guard anchors the condition
@@ -452,30 +451,30 @@ def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float):
 
 def _rank_update(tracking: TrackingMatrix, batch: FeatureBatch, s: float) -> TrackingMatrix:
     """T' = (T^(-1) - s F^T F)^(-1), writing no input; a primal T' records
-    its update for _weight_step.  BLAS sees Fortran order: T and the
-    mirrored T' are symmetric, so either view is the same."""
-    t, f = tracking.matrix, batch.features
+    its update for _weight_step.  The kernels read and write only the lower
+    triangles of the Fortran order working arrays of T and T'."""
+    t, f = tracking._lower, batch.features
     update = None
-    if f.shape[0] < f.shape[1]:
-        threaded = f.shape[0] * t.size >= _THREADED_WORK
-        if threaded:
-            _use_host_blas_threads(True)
-        try:
-            ft_t = blas.dgemm(1.0, t.T, f.T)  # (F T)^T = T^T F^T
+    threaded = min(f.shape) * t.size >= _THREADED_WORK
+    if threaded:
+        _use_host_blas_threads(True)
+    try:
+        if f.shape[0] < f.shape[1]:
+            ft_t = blas.dsymm(1.0, t, f.T, lower=1)  # (F T)^T = T F^T
             part = blas.dgemm(1.0, f.T, ft_t, trans_a=1).T  # F T F^T
             factor, g_t = _core_solve(part, ft_t, s)  # G^T = (F T)^T L^(-T), in place
-            new_t = blas.dsyrk(s, g_t, beta=1.0, c=t.T.copy("F"), lower=1, overwrite_c=1)
-        finally:
-            if threaded:
-                _use_host_blas_threads(False)
-        update = (batch, g_t, factor)
-    else:  # the d x d system is smaller, and T' = M M^T subtracts nothing
-        chol, info = lapack.dpotrf(t.T, lower=1, clean=1)
-        if info != 0:
-            raise StateIntegrityError("tracking matrix is not positive definite")
-        f_chol = f @ chol
-        new_t = blas.dsyrk(1.0, _core_solve(f_chol.T @ f_chol, chol, s)[1], lower=1)
-    return TrackingMatrix._trusted(_mirror_lower(new_t).T, tracking.gamma, update)
+            new_t = blas.dsyrk(s, g_t, beta=1.0, c=t.copy("F"), lower=1, overwrite_c=1)
+            update = (batch, g_t, factor)
+        else:  # the d x d system is smaller, and T' = M M^T subtracts nothing
+            chol, info = lapack.dpotrf(t, lower=1, clean=1)
+            if info != 0:
+                raise StateIntegrityError("tracking matrix is not positive definite")
+            f_chol = f @ chol
+            new_t = blas.dsyrk(1.0, _core_solve(f_chol.T @ f_chol, chol, s)[1], lower=1)
+    finally:
+        if threaded:
+            _use_host_blas_threads(False)
+    return TrackingMatrix._trusted(new_t, tracking.gamma, update)
 
 
 def _weight_step(model: AnalyticModel, tracking: TrackingMatrix, batch: FeatureBatch, s: float):
@@ -491,7 +490,7 @@ def _weight_step(model: AnalyticModel, tracking: TrackingMatrix, batch: FeatureB
         step = blas.dgemm(1.0, g_t, lr_t, trans_b=1)  # G^T (L^(-1) r)
     else:
         fr = blas.dgemm(1.0, f.T, r_t, trans_b=1)  # F^T r
-        step = blas.dgemm(1.0, tracking.matrix.T, fr, trans_a=1)  # T' F^T r
+        step = blas.dsymm(1.0, tracking._lower, fr, lower=1)  # T' F^T r
     return AnalyticModel(model.weights + s * step, model.gamma)
 
 
@@ -530,7 +529,7 @@ def joint_fit(batch: FeatureBatch, gamma: float):
         inverse = blas.dsyrk(1.0, inv_factor, trans=1, lower=1)
     finally:
         _use_host_blas_threads(False)
-    tracking = TrackingMatrix._trusted(_mirror_lower(inverse).T, gamma)
+    tracking = TrackingMatrix._trusted(inverse, gamma)
     return AnalyticModel(weights, gamma), tracking
 
 

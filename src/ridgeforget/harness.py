@@ -107,6 +107,11 @@ class EngineState:
 
     def __post_init__(self):
         _check_pair(self.tracking, self.model)
+        if self.extractor is not None and self.extractor.feature_dim != self.model.feature_dim:
+            raise ContractViolation(
+                f"extractor feature dim {self.extractor.feature_dim} does not match "
+                f"model dim {self.model.feature_dim}"
+            )
 
     @property
     def gamma(self) -> float:

@@ -12,8 +12,11 @@ Layout (little-endian throughout):
 
 Floats travel as raw 64-bit payload bytes, so load(save(state)) reproduces
 W, T, the ledger, and the extractor recipe bit-for-bit.  A bad magic,
-truncated payload, or checksum mismatch raises IntegrityError without
-exposing partial state; an unknown format_version raises VersionError.
+truncated payload, checksum mismatch, a header in any other form than the
+one save_state writes, or a header value no valid state holds raises
+IntegrityError without exposing partial state; an unknown format_version
+raises VersionError.  The checksum does not cover the header, so a header
+value replaced by another valid one (gamma, the extractor's seed) loads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import struct
 import numpy as np
 
 from .core import AnalyticModel, TrackingMatrix
-from .errors import IntegrityError, VersionError
+from .errors import ContractViolation, IntegrityError, VersionError
 from .features import FeatureExtractor
 from .harness import EngineState
 from .verify import SampleLedger
@@ -109,34 +112,20 @@ def load_state(path) -> EngineState:
     (header_len,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + header_len:
         raise IntegrityError(f"{path}: truncated header")
+    raw = blob[8 : 8 + header_len]
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(raw.decode("utf-8"))
+        version = header.get("format_version")
+    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError) as exc:
         raise IntegrityError(f"{path}: unreadable header: {exc}") from exc
-    version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(
             f"{path}: format version {version!r} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
-    try:
-        gamma = float(header["gamma"])
-        d_f = int(header["feature_dim"])
-        d_c = int(header["class_count"])
-        learned_count = int(header["learned_count"])
-        forgotten_count = int(header["forgotten_count"])
-        checksum = header["payload_checksum"]
-        extractor_info = header["extractor"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"{path}: malformed header: {exc}") from exc
+    if json.dumps(header, sort_keys=True).encode("utf-8") != raw:
+        raise IntegrityError(f"{path}: header is not in the form save_state writes")
     payload = blob[8 + header_len :]
-    expected_len = 8 * (d_f * d_c + d_f * d_f + learned_count + forgotten_count)
-    if len(payload) != expected_len:
-        raise IntegrityError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected_len}"
-        )
-    if hashlib.sha256(payload).hexdigest() != checksum:
-        raise IntegrityError(f"{path}: payload checksum mismatch")
     offset = 0
 
     def take(count: int, dtype: str) -> np.ndarray:
@@ -145,21 +134,42 @@ def load_state(path) -> EngineState:
         offset += 8 * count
         return out
 
-    weights = take(d_f * d_c, "<f8").reshape(d_f, d_c)
-    tracking = take(d_f * d_f, "<f8").reshape(d_f, d_f)
-    learned = take(learned_count, "<i8")
-    forgotten = take(forgotten_count, "<i8")
-    extractor = None
-    if extractor_info is not None:
-        extractor = FeatureExtractor.from_seed(
-            int(extractor_info["seed"]),
-            int(extractor_info["input_dim"]),
-            int(extractor_info["feature_dim"]),
-            str(extractor_info["nonlinearity"]),
+    # the checksum does not cover the header: a value no valid state holds
+    # is corruption too, whichever check finds it
+    try:
+        if header["checksum_algorithm"] != CHECKSUM_ALGORITHM:
+            raise IntegrityError(f"{path}: unknown checksum algorithm")
+        gamma = float(header["gamma"])
+        d_f = int(header["feature_dim"])
+        d_c = int(header["class_count"])
+        learned_count = int(header["learned_count"])
+        forgotten_count = int(header["forgotten_count"])
+        checksum = header["payload_checksum"]
+        extractor_info = header["extractor"]
+        expected_len = 8 * (d_f * d_c + d_f * d_f + learned_count + forgotten_count)
+        if len(payload) != expected_len:
+            raise IntegrityError(
+                f"{path}: payload is {len(payload)} bytes, expected {expected_len}"
+            )
+        if hashlib.sha256(payload).hexdigest() != checksum:
+            raise IntegrityError(f"{path}: payload checksum mismatch")
+        weights = take(d_f * d_c, "<f8").reshape(d_f, d_c)
+        tracking = take(d_f * d_f, "<f8").reshape(d_f, d_f)
+        learned = take(learned_count, "<i8")
+        forgotten = take(forgotten_count, "<i8")
+        extractor = None
+        if extractor_info is not None:
+            extractor = FeatureExtractor.from_seed(
+                int(extractor_info["seed"]),
+                int(extractor_info["input_dim"]),
+                int(extractor_info["feature_dim"]),
+                str(extractor_info["nonlinearity"]),
+            )
+        return EngineState(
+            AnalyticModel(weights, gamma),
+            TrackingMatrix(tracking, gamma),
+            SampleLedger(set(learned.tolist()), set(forgotten.tolist())),
+            extractor,
         )
-    return EngineState(
-        AnalyticModel(weights, gamma),
-        TrackingMatrix(tracking, gamma),
-        SampleLedger(set(learned.tolist()), set(forgotten.tolist())),
-        extractor,
-    )
+    except (KeyError, TypeError, ValueError, OverflowError, ContractViolation) as exc:
+        raise IntegrityError(f"{path}: malformed header: {exc}") from exc

@@ -1,9 +1,12 @@
 import csv
+import json
+import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from ridgeforget import load_state
+from ridgeforget import StateFormatError, load_state
 from ridgeforget.cli import main
 from ridgeforget.core import MAX_FEATURE_DIM
 
@@ -343,3 +346,88 @@ def test_bad_value_exits_1_before_allocating(tmp_path, data_files, capsys, argv,
     assert "Traceback" not in err
     # a d x d float64 matrix at the bound is 128 MiB; the check comes first
     assert peak < 8 * MAX_FEATURE_DIM**2 // 16
+
+
+def _mutated(rng, blob):
+    """`blob` with one seeded insertion, deletion or substitution of a byte
+    0-255."""
+    data = bytearray(blob)
+    kind, byte = int(rng.integers(3)), int(rng.integers(256))
+    at = int(rng.integers(len(data) + (kind == 0)))
+    if kind == 0:
+        data.insert(at, byte)
+    elif kind == 1:
+        del data[at]
+    else:
+        data[at] = byte
+    return bytes(data)
+
+
+_SMALL = ("--learn-chunks", 2, "--forget-total", 6, "--requests", 2, "--feature-dim", 8)
+
+
+@pytest.fixture
+def small_run(tmp_path, capsys):
+    """A 30-row raw desk CSV and the state `run` saved from it."""
+    train, state = tmp_path / "train.csv", tmp_path / "run.state"
+    assert run_cli(
+        "gen-data", "--classes", 3, "--per-class", 10, "--input-dim", 4,
+        "--seed", 1, "--out", train,
+    ) == 0
+    assert run_cli("run", "--data", train, *_SMALL, "--state", state) == 0
+    capsys.readouterr()
+    return train, state
+
+
+def test_mutated_csv_runs_or_exits_1(tmp_path, small_run, capsys):
+    train, _ = small_run
+    blob, bad = train.read_bytes(), tmp_path / "bad.csv"
+    rng = np.random.default_rng(0)
+    for i in range(200):
+        bad.write_bytes(_mutated(rng, blob))
+        code = run_cli("run", "--data", bad, *_SMALL)
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 1 and err.startswith("error: ")), (i, err)
+
+
+def _header_values(blob):
+    """The header's values, the extractor's under "extractor.<field>"."""
+    (length,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + length])
+    header.update({f"extractor.{k}": v for k, v in header.pop("extractor").items()})
+    return header
+
+
+def test_mutated_state_exits_2_under_verify_and_resume(tmp_path, small_run, capsys):
+    train, state = small_run
+    blob, bad = state.read_bytes(), tmp_path / "bad.state"
+    saved = _header_values(blob)
+    rng = np.random.default_rng(0)
+    for i in range(300):
+        mutated = _mutated(rng, blob)
+        if mutated == blob:
+            continue
+        bad.write_bytes(mutated)
+        try:
+            load_state(bad)
+        except StateFormatError:
+            loads = False
+        else:
+            # the checksum does not cover the header, and format version 1
+            # cannot tell these values from other valid ones
+            loads = True
+            now = _header_values(mutated)
+            assert {k for k in saved if now[k] != saved[k]} <= {
+                "gamma", "extractor.seed", "extractor.input_dim"
+            }, i
+        for argv in (
+            ("verify", "--state", bad, "--data", train, "--test-data", train),
+            ("resume", "--state", bad, "--data", train, "--forget-total", 3,
+             "--requests", 1, "--state-out", tmp_path / "out.state"),
+        ):
+            code = run_cli(*argv)
+            err = capsys.readouterr().err
+            if loads:
+                assert code == 0 or (code == 1 and err.startswith("error: ")), (i, err)
+            else:
+                assert code == 2 and err.startswith("error: "), (i, err)

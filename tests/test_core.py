@@ -231,6 +231,17 @@ def test_threaded_requests_leave_every_copy_at_one_thread(monkeypatch):
         unlearn_tracking(fresh, rand_batch(rng, m, d, 3))
     assert [get() for get, _, _ in copies] == [1] * len(copies)
 
+    # the dual form (m >= d) runs threaded by its d^3 kernels, not by m d^2
+    for d, m, threaded in ((256, 256, True), (64, core._THREADED_WORK // 64**2, False)):
+        assert (d**3 >= core._THREADED_WORK) == threaded and m * d * d >= core._THREADED_WORK
+        model, tracking = joint_fit(rand_batch(rng, 2 * d, d, 3), 0.5)
+        batch = rand_batch(rng, m, d, 3, id_start=2 * d)
+        tracking, model = learn_update(tracking, model, batch)
+        assert seen[-1] == (host if threaded else [1] * len(copies))
+        unlearn_tracking(tracking, batch)
+        assert seen[-1] == (host if threaded else [1] * len(copies))
+        assert [get() for get, _, _ in copies] == [1] * len(copies)
+
 
 def _run_python(code: str) -> str:
     """stdout of `code` run in a fresh interpreter that imports this
@@ -257,7 +268,7 @@ def test_import_loads_the_kernels_without_scipy_linalg():
         "import scipy.linalg\n"
         "assert sys.modules['scipy.linalg._fblas'] is core.blas\n"
         "for ours, theirs, names in (\n"
-        "    (core.blas, scipy.linalg.blas, 'dgemm dsyrk dtrsm'),\n"
+        "    (core.blas, scipy.linalg.blas, 'dgemm dsymm dsyrk dtrsm'),\n"
         "    (core.lapack, scipy.linalg.lapack, 'dpotrf dpocon dpotrs dtrtri'),\n"
         "):\n"
         "    for name in names.split():\n"
@@ -588,6 +599,56 @@ def test_weight_step_paths_agree_with_a_refit(d, m):
     f, y = other.features, other.labels
     step = after.matrix @ f.T @ (f @ model.weights - y)
     assert rel_fro(unlearn_model(model, after, other).weights, model.weights + step) <= 1e-12
+
+
+def _garbled(tracking, rng):
+    """`tracking` rewrapped from a copy of its working array whose unused
+    upper triangle holds wrong finite values."""
+    lower = tracking._lower.copy(order="F")
+    upper = np.triu_indices(len(lower), 1)
+    lower[upper] = 1e3 * rng.standard_normal(len(upper[0]))
+    return TrackingMatrix._trusted(lower, tracking.gamma)
+
+
+@pytest.mark.parametrize("m", [5, 30], ids=["primal", "dual"])  # d = 12
+def test_updates_read_only_the_lower_triangle_of_t(m):
+    rng = np.random.default_rng(97)
+    gamma, d = 0.4, 12
+    base = rand_batch(rng, 60, d, 3)
+    model, tracking = joint_fit(base, gamma)
+    extra = rand_batch(rng, m, d, 3, id_start=100)
+    grown_tracking, grown_model = learn_update(_garbled(tracking, rng), model, extra)
+    both = batch_union(base, extra)
+    want_t = gram_inverse_oracle(both.features, gamma)
+    assert rel_fro(grown_tracking.matrix, want_t) <= 1e-9
+    assert rel_fro(grown_model.weights, solve_weights_oracle(both.features, both.labels, gamma)) <= 1e-9
+
+    picked = rng.choice(60, size=m, replace=False)
+    forget = base.permuted(picked)
+    keep = np.setdiff1d(np.arange(60), picked)
+    want_t = gram_inverse_oracle(base.features[keep], gamma)
+    want_w = solve_weights_oracle(base.features[keep], base.labels[keep], gamma)
+    after = unlearn_tracking(_garbled(tracking, rng), forget)
+    assert rel_fro(after.matrix, want_t) <= 1e-9
+    assert rel_fro(unlearn_model(model, after, forget).weights, want_w) <= 1e-9
+    # a T' that records no update takes the weight step from its triangle
+    assert rel_fro(unlearn_model(model, _garbled(after, rng), forget).weights, want_w) <= 1e-9
+
+
+def test_requests_never_build_the_full_matrix():
+    rng = np.random.default_rng(101)
+    model, tracking = joint_fit(rand_batch(rng, 40, 8, 3), 0.5)
+    made = [tracking]
+    for start, rows in ((100, 3), (200, 20)):  # primal, then dual
+        tracking, model = learn_update(tracking, model, rand_batch(rng, rows, 8, 3, start))
+        made.append(tracking)
+    for t in made:
+        assert "matrix" not in vars(t)
+    for t in made:
+        full = t.matrix
+        assert full is t.matrix and not full.flags.writeable
+        assert np.array_equal(full, full.T)
+        assert np.array_equal(np.tril(full), np.tril(t._lower))
 
 
 # ----------------------------------------------------------------- predict

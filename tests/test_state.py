@@ -18,6 +18,7 @@ from ridgeforget import (
     save_state,
 )
 from ridgeforget import state as state_module
+from ridgeforget.cli import main
 from ridgeforget.state import MAGIC
 from _helpers import fresh_state
 from test_harness import make_dataset
@@ -127,6 +128,42 @@ def test_unknown_version_is_version_error(tmp_path):
     )
     with pytest.raises(VersionError):
         load_state(future)
+
+
+@pytest.mark.parametrize(
+    "edit, indent",
+    [(lambda h: h["extractor"].pop("input_dim"), None),
+     (lambda h: h.update(extractor=5), None),
+     (lambda h: h["extractor"].update(nonlinearity="relx"), None),
+     (lambda h: h["extractor"].update(seed=-1), None),
+     (lambda h: h.update(gamma=-1.0), None),
+     (lambda h: h["extractor"].update(feature_dim=7), None),
+     (lambda h: h.update(checksum_algorithm="md5"), None),
+     (lambda h: None, 1)],
+    ids=["extractor-without-input-dim", "extractor-not-an-object",
+         "unknown-nonlinearity", "negative-extractor-seed", "negative-gamma",
+         "extractor-dim-off-the-model", "unknown-checksum-algorithm",
+         "header-in-another-json-form"],
+)
+def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, indent):
+    _, _, state = run_to_state()
+    path = tmp_path / "full.state"
+    save_state(state, path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + header_len])
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True, indent=indent).encode()
+    path.write_bytes(
+        MAGIC + struct.pack("<I", len(new_header)) + new_header + blob[8 + header_len :]
+    )
+    with pytest.raises(IntegrityError):
+        load_state(path)
+    # load_state is the first thing verify does, so the data need not exist
+    absent = tmp_path / "absent.csv"
+    assert main(["verify", "--state", str(path), "--data", str(absent),
+                 "--test-data", str(absent)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_state_without_extractor_round_trips(tmp_path):
