@@ -75,21 +75,23 @@ def _emit(path, lines):
         print(text)
 
 
-def _write_run_report(path, record):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(RUN_CSV_HEADER + "\n")
-        for req in record.per_request:
-            cells = [
-                req.kind,
-                str(req.request_index),
-                str(req.batch_size),
-                repr(req.wall_time_seconds),
-            ]
-            if req.report is not None:
-                cells += [repr(v) for v in req.report.deltas]
-            else:
-                cells += [""] * 5
-            handle.write(",".join(cells) + "\n")
+def _run_report_lines(record):
+    """RUN_CSV_HEADER, then one row per request; the gap columns stay empty
+    for a request that was not verified."""
+    lines = [RUN_CSV_HEADER]
+    for req in record.per_request:
+        cells = [
+            req.kind,
+            str(req.request_index),
+            str(req.batch_size),
+            repr(req.wall_time_seconds),
+        ]
+        if req.report is not None:
+            cells += [repr(v) for v in req.report.deltas]
+        else:
+            cells += [""] * 5
+        lines.append(",".join(cells))
+    return lines
 
 
 def _cmd_gen_data(args) -> int:
@@ -122,7 +124,7 @@ def _advance(args, state, encoded, stream, state_path):
         dataset=encoded, test_rows=test_rows,
     )
     if args.out:
-        _write_run_report(args.out, record)
+        _emit(args.out, _run_report_lines(record))
     if state_path:
         save_state(state, state_path)
     return record

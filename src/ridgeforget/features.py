@@ -53,6 +53,12 @@ MAX_CLASSES = 2**16
 # request fails before it allocates; 2**24 is 262x the desk recipe.
 MAX_SYNTHETIC_VALUES = 2**24
 
+# Most projection entries (input_dim x feature_dim) an extractor may hold.
+# The projection is drawn as one dense float64 array (128 MiB at the cap), and
+# input_dim comes from outside: a raw CSV's width or a state header.  At the
+# default feature_dim of 64 the cap allows 262,144 input columns.
+MAX_PROJECTION_VALUES = 2**24
+
 
 @dataclass(frozen=True)
 class FeatureExtractor:
@@ -80,7 +86,12 @@ class FeatureExtractor:
         _check_seed(seed)
         if input_dim <= 0:
             raise ContractViolation(f"input_dim must be positive, got {input_dim}")
-        _check_feature_dim(feature_dim)
+        # Python ints: a numpy product could wrap around below the bound
+        if int(input_dim) * _check_feature_dim(feature_dim) > MAX_PROJECTION_VALUES:
+            raise ContractViolation(
+                f"input_dim {input_dim} x feature_dim {feature_dim} exceeds the "
+                f"{MAX_PROJECTION_VALUES} projection entries an extractor may hold"
+            )
         if nonlinearity not in NONLINEARITIES:
             raise ContractViolation(
                 f"nonlinearity must be one of {NONLINEARITIES}, got {nonlinearity!r}"
@@ -102,10 +113,6 @@ class FeatureExtractor:
             input_dim
         )
         return cls(seed, input_dim, feature_dim, nonlinearity, projection)
-
-    def extract(self, x) -> np.ndarray:
-        """Feature vector G(x @ projection) for a single input row."""
-        return self.extract_rows(np.reshape(x, (1, -1)))[0]
 
     def extract_rows(self, inputs) -> np.ndarray:
         """Feature rows G(inputs @ projection).  einsum's own loop, unlike a

@@ -38,7 +38,9 @@ from .errors import (
     RidgeForgetError,
     RunAbortedError,
 )
-from .features import MAX_CLASSES, EncodedDataset, FeatureExtractor
+from .features import (
+    MAX_CLASSES, MAX_SYNTHETIC_VALUES, EncodedDataset, FeatureExtractor,
+)
 from .verify import GapReport, SampleLedger, gap_report
 
 
@@ -88,11 +90,6 @@ class RunRecord:
 
     def reports(self):
         return [r.report for r in self.per_request if r.report is not None]
-
-    def forget_time_seconds(self) -> float:
-        return sum(
-            r.wall_time_seconds for r in self.per_request if r.kind == "forget"
-        )
 
 
 @dataclass
@@ -180,10 +177,13 @@ def build_stream(
     and split it into disjoint forget batches.
 
     Both partitions are deterministic under `seed`.  Uneven splits give
-    their remainder to the earliest batches.
+    their remainder to the earliest batches; a learn chunk is never empty.
     """
-    if learn_chunks < 1:
-        raise InputError(f"learn_chunks must be >= 1, got {learn_chunks}")
+    if not 1 <= learn_chunks <= len(dataset):
+        raise InputError(
+            f"learn_chunks must lie in [1, {len(dataset)}], the dataset's row "
+            f"count, got {learn_chunks}"
+        )
     forget_batches = _forget_batches(dataset, forget_total, forget_requests, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     learn_batches = tuple(
@@ -289,22 +289,30 @@ def bench_scaling(
     size and removes a freshly sampled batch, so the retained size is
     exactly N for every repeat.  Per-request cost must not grow with N:
     the update never touches retained rows.  Labels are drawn from two
-    classes.
+    classes.  Every size is checked before the first fit: a synthetic
+    dataset holds at most MAX_SYNTHETIC_VALUES features.
     """
     seed = _check_seed(seed)
-    _check_feature_dim(feature_dim)
+    feature_dim = _check_feature_dim(feature_dim)
     if repeats < 0:
         raise InputError(f"repeats must be >= 0, got {repeats}")
     if repeats == 0:
         return []
     if forget_size < 1:
         raise InputError(f"forget_size must be >= 1, got {forget_size}")
-    rows = []
+    retained_sizes = list(retained_sizes)
     for size in retained_sizes:
         if size < forget_size:
             raise InputError(
                 f"retained size {size} is smaller than forget batch {forget_size}"
             )
+        if int(size) * feature_dim > MAX_SYNTHETIC_VALUES:
+            raise InputError(
+                f"retained size {size} x feature_dim {feature_dim} exceeds the "
+                f"{MAX_SYNTHETIC_VALUES} values a synthetic dataset may hold"
+            )
+    rows = []
+    for size in retained_sizes:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(int(size),))
         )

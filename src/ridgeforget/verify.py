@@ -9,8 +9,9 @@ residual-threshold classifier.  Exact removal drives all of them to zero.
 gap_report gathers the retained rows and the forgotten rows once each, refits
 the oracle from the gathered feature rows (never from T or the updated
 model), and takes both the accuracy and the residual scores of each (model,
-rows) pair from one score product.  The public metric functions share its
-private helpers, so each metric has one definition.
+rows) pair from one score product.  oracle_retrain, params_gap and mia_gap
+share its private helpers, so each metric has one definition; the accuracy
+gaps have no public function of their own.
 """
 
 from __future__ import annotations
@@ -117,11 +118,6 @@ def _scored(model: AnalyticModel, rows: EncodedDataset):
     scores, classes = predict(model, rows.features)
     hit_rate = float(np.mean(classes == rows.label_indices))
     return 100.0 * hit_rate, _residuals(rows, scores)
-
-
-def accuracy(model: AnalyticModel, rows: EncodedDataset) -> float:
-    """Percentage of rows whose predicted class equals the label."""
-    return _scored(model, rows)[0]
 
 
 def params_gap(a: AnalyticModel, b: AnalyticModel) -> float:
@@ -241,8 +237,8 @@ def gap_report(
 ) -> GapReport:
     """Retrain the oracle and compute every gap metric for `unlearned`.
 
-    Equal to composing oracle_retrain, params_gap, accuracy and mia_gap, but
-    each row set is gathered once and scored once per model."""
+    Equal to composing oracle_retrain, params_gap, mia_gap and a per-row-set
+    accuracy, but each row set is gathered once and scored once per model."""
     retained = _retained_rows(dataset, ledger)
     retrained, _ = joint_fit(retained.to_batch(), unlearned.gamma)
     delta_params = params_gap(unlearned, retrained)

@@ -19,6 +19,14 @@ def rand_batch(rng, n, d_f, d_c, id_start=0):
     return FeatureBatch(features, labels, ids)
 
 
+def permuted(batch, order):
+    """The rows of `batch` at `order`, as a new validated batch."""
+    order = np.asarray(order)
+    return FeatureBatch(
+        batch.features[order], batch.labels[order], batch.sample_ids[order]
+    )
+
+
 def stream_dims(stream):
     """(feature_dim, class_count) of the stream's first batch."""
     first = (stream.learn_requests + stream.forget_requests)[0]
@@ -64,6 +72,13 @@ def objective_oracle(weights, gamma, features, labels):
         for c in range(weights.shape[1]):
             penalty += weights[r, c] ** 2
     return total + gamma * penalty
+
+
+def accuracy_oracle(model, rows):
+    """Percentage of `rows` (an EncodedDataset) whose argmax score, ties to
+    the lowest class index, equals the label; scored without `verify`."""
+    classes = np.argmax(rows.features @ model.weights, axis=1)
+    return 100.0 * float(np.mean(classes == rows.label_indices))
 
 
 def rel_fro(actual, reference, floor=1e-30):

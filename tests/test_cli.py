@@ -9,6 +9,7 @@ import pytest
 from ridgeforget import StateFormatError, load_state
 from ridgeforget.cli import main
 from ridgeforget.core import MAX_FEATURE_DIM
+from ridgeforget.features import MAX_PROJECTION_VALUES, MAX_SYNTHETIC_VALUES
 
 
 def run_cli(*argv):
@@ -243,8 +244,8 @@ def test_run_with_feature_data_and_raw_test_data_exits_1(tmp_path, data_files, c
     features.write_text("id,label,f0,f1\n" + rows, encoding="utf-8")
     state = tmp_path / "run.state"
     code = run_cli(
-        "run", "--data", features, "--test-data", test, "--forget-total", 1,
-        "--requests", 1, "--state", state,
+        "run", "--data", features, "--test-data", test, "--learn-chunks", 4,
+        "--forget-total", 1, "--requests", 1, "--state", state,
     )
     assert code == 1
     assert "holds raw inputs but no extractor is available" in capsys.readouterr().err
@@ -313,12 +314,19 @@ _BENCH = ("bench", "--sizes", 20, "--forget-size", 5, "--dfeat", 4, "--repeats",
      ((*_BENCH, "--dfeat", -2), "feature_dim must lie in"),
      ((*_BENCH, "--dfeat", _OVER), f"got {_OVER}"),
      (("run", "--data", "{train}", "--forget-total", 10, "--requests", 20),
-      "forget_requests 20 exceeds forget_total 10")],
+      "forget_requests 20 exceeds forget_total 10"),
+     ((*_RUN, "--learn-chunks", 5000), "learn_chunks must lie in [1, 200]"),
+     ((*_BENCH, "--sizes", 10**12), f"exceeds the {MAX_SYNTHETIC_VALUES} values"),
+     (("run", "--data", "{wide_raw}", "--forget-total", 1, "--requests", 1,
+       "--feature-dim", MAX_FEATURE_DIM),
+      f"input_dim {_OVER} x feature_dim {MAX_FEATURE_DIM} exceeds the "
+      f"{MAX_PROJECTION_VALUES} projection entries")],
     ids=["run-seed-negative", "resume-seed-negative", "bench-seed-negative",
          "run-feature-dim-negative", "run-feature-dim-over-bound",
          "feature-csv-over-bound", "bench-sizes-not-integers", "bench-dfeat-zero",
          "bench-dfeat-negative", "bench-dfeat-over-bound",
-         "run-more-requests-than-forget-rows"],
+         "run-more-requests-than-forget-rows", "run-more-learn-chunks-than-rows",
+         "bench-sizes-over-bound", "raw-csv-over-projection-bound"],
 )
 def test_bad_value_exits_1_before_allocating(tmp_path, data_files, capsys, argv, message):
     train, _ = data_files
@@ -327,9 +335,14 @@ def test_bad_value_exits_1_before_allocating(tmp_path, data_files, capsys, argv,
     header = "id,label," + ",".join(f"f{k}" for k in range(_OVER))
     wide.write_text(f"{header}\n0,0{',0.5' * _OVER}\n1,1{',1.0' * _OVER}\n",
                     encoding="utf-8")
+    # as many raw input columns as the feature columns above
+    wide_raw = tmp_path / "wide_raw.csv"
+    wide_raw.write_text(wide.read_text(encoding="utf-8").replace(",f", ",x"),
+                        encoding="utf-8")
 
     def filled(args):
-        return [str(a).format(train=train, state=state, wide=wide) for a in args]
+        return [str(a).format(train=train, state=state, wide=wide, wide_raw=wide_raw)
+                for a in args]
 
     if "{state}" in argv:
         assert run_cli(*filled(_RUN), "--feature-dim", 8, "--state", state) == 0

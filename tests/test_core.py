@@ -10,6 +10,7 @@ from _helpers import (
     batch_union,
     gram_inverse_oracle,
     objective_oracle,
+    permuted,
     rand_batch,
     rel_fro,
     solve_weights_oracle,
@@ -25,7 +26,6 @@ from ridgeforget import (
     UnlearnabilityError,
     joint_fit,
     learn_update,
-    objective_value,
     predict,
     unlearn_model,
     unlearn_tracking,
@@ -97,40 +97,11 @@ def test_batch_arrays_are_frozen():
         batch.features[0, 0] = 99.0
 
 
-# ------------------------------------------------------- objective_value
-
-
-def test_objective_zero_weights_empty_batch():
-    model = AnalyticModel(np.zeros((2, 2)), 3.0)
-    assert objective_value(model, FeatureBatch.empty(2, 2)) == 0.0
-
-
-def test_objective_zero_weights_single_sample():
-    model = AnalyticModel(np.zeros((2, 2)), 1.0)
-    batch = FeatureBatch([[1.0, 2.0]], [[0.0, 1.0]], [0])
-    assert objective_value(model, batch) == 1.0
-
-
-def test_objective_matches_straight_loop():
-    rng = np.random.default_rng(7)
-    batch = rand_batch(rng, 20, 5, 3)
-    model = AnalyticModel(rng.standard_normal((5, 3)), 0.7)
-    got = objective_value(model, batch)
-    want = objective_oracle(model.weights, 0.7, batch.features, batch.labels)
-    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
-
-
-def test_objective_dimension_mismatch():
-    model = AnalyticModel(np.zeros((2, 2)), 1.0)
-    with pytest.raises(ContractViolation):
-        objective_value(model, FeatureBatch.empty(3, 2))
-
-
 # --------------------------------------------------------------- joint_fit
 
 
 def test_joint_fit_empty_batch():
-    model, tracking = joint_fit(FeatureBatch.empty(2, 2), 1.0)
+    model, tracking = joint_fit(rand_batch(np.random.default_rng(0), 0, 2, 2), 1.0)
     assert np.array_equal(model.weights, np.zeros((2, 2)))
     assert np.allclose(tracking.matrix, np.eye(2), atol=1e-15)
 
@@ -352,15 +323,18 @@ def test_joint_fit_is_the_minimizer_by_finite_differences():
         batch = rand_batch(rng, 30, 6, 3)
         gamma = float(rng.uniform(0.1, 2.0))
         model, _ = joint_fit(batch, gamma)
-        base = objective_value(model, batch)
+        features, labels = batch.features, batch.labels
+        base = objective_oracle(model.weights, gamma, features, labels)
         for _ in range(20):
             direction = rng.standard_normal(model.weights.shape)
             direction /= np.linalg.norm(direction)
-            up = AnalyticModel(model.weights + step * direction, gamma)
-            down = AnalyticModel(model.weights - step * direction, gamma)
-            derivative = (objective_value(up, batch) - objective_value(down, batch)) / (
-                2 * step
+            up = objective_oracle(
+                model.weights + step * direction, gamma, features, labels
             )
+            down = objective_oracle(
+                model.weights - step * direction, gamma, features, labels
+            )
+            derivative = (up - down) / (2 * step)
             assert abs(derivative) <= 1e-5 * (1.0 + abs(base))
 
 
@@ -368,8 +342,9 @@ def test_joint_fit_is_the_minimizer_by_finite_differences():
 
 
 def test_learn_empty_batch_is_identity():
-    model, tracking = joint_fit(rand_batch(np.random.default_rng(0), 5, 3, 2), 1.0)
-    new_tracking, new_model = learn_update(tracking, model, FeatureBatch.empty(3, 2))
+    rng = np.random.default_rng(0)
+    model, tracking = joint_fit(rand_batch(rng, 5, 3, 2), 1.0)
+    new_tracking, new_model = learn_update(tracking, model, rand_batch(rng, 0, 3, 2))
     assert new_tracking is tracking
     assert new_model is model
 
@@ -412,10 +387,11 @@ def test_learn_on_indefinite_tracking_raises_state_integrity(rows):
 
 
 def test_learn_rejects_gamma_mismatch():
-    model, _ = joint_fit(rand_batch(np.random.default_rng(0), 5, 3, 2), 1.0)
+    rng = np.random.default_rng(0)
+    model, _ = joint_fit(rand_batch(rng, 5, 3, 2), 1.0)
     tracking = TrackingMatrix.fresh(3, 2.0)
     with pytest.raises(ContractViolation):
-        learn_update(tracking, model, FeatureBatch.empty(3, 2))
+        learn_update(tracking, model, rand_batch(rng, 0, 3, 2))
 
 
 # --------------------------------------------------------- unlearn_tracking
@@ -429,8 +405,9 @@ def test_unlearn_single_sample_returns_fresh_inverse():
 
 
 def test_unlearn_empty_batch_is_identity():
-    _, tracking = joint_fit(rand_batch(np.random.default_rng(0), 5, 3, 2), 1.0)
-    assert unlearn_tracking(tracking, FeatureBatch.empty(3, 2)) is tracking
+    rng = np.random.default_rng(0)
+    _, tracking = joint_fit(rand_batch(rng, 5, 3, 2), 1.0)
+    assert unlearn_tracking(tracking, rand_batch(rng, 0, 3, 2)) is tracking
 
 
 def test_unlearn_tracking_matches_dense_inverse_of_survivors():
@@ -438,7 +415,7 @@ def test_unlearn_tracking_matches_dense_inverse_of_survivors():
     batch = rand_batch(rng, 40, 8, 3)
     _, tracking = joint_fit(batch, 0.4)
     picked = rng.choice(40, size=7, replace=False)
-    forget = batch.permuted(picked)
+    forget = permuted(batch, picked)
     keep = np.setdiff1d(np.arange(40), picked)
     updated = unlearn_tracking(tracking, forget)
     want = gram_inverse_oracle(batch.features[keep], 0.4)
@@ -462,7 +439,7 @@ def test_unlearn_tall_batch_matches_dense_inverse_of_survivors():
     batch = rand_batch(rng, 60, 5, 3)
     model, tracking = joint_fit(batch, 0.4)
     picked = rng.choice(60, size=12, replace=False)
-    forget = batch.permuted(picked)
+    forget = permuted(batch, picked)
     keep = np.setdiff1d(np.arange(60), picked)
     updated = unlearn_tracking(tracking, forget)
     after = unlearn_model(model, updated, forget)
@@ -528,8 +505,9 @@ def test_update_outputs_are_read_only_and_inputs_untouched(rows):
 
 
 def test_unlearn_model_empty_batch_is_identity():
-    model, tracking = joint_fit(rand_batch(np.random.default_rng(0), 5, 3, 2), 1.0)
-    assert unlearn_model(model, tracking, FeatureBatch.empty(3, 2)) is model
+    rng = np.random.default_rng(0)
+    model, tracking = joint_fit(rand_batch(rng, 5, 3, 2), 1.0)
+    assert unlearn_model(model, tracking, rand_batch(rng, 0, 3, 2)) is model
 
 
 def test_forget_everything_zeroes_the_model():
@@ -557,7 +535,7 @@ def test_unlearn_model_matches_joint_fit_oracle():
     batch = rand_batch(rng, 30, 5, 3)
     model, tracking = joint_fit(batch, 0.6)
     picked = rng.choice(30, size=9, replace=False)
-    forget = batch.permuted(picked)
+    forget = permuted(batch, picked)
     keep = np.setdiff1d(np.arange(30), picked)
     after_tracking = unlearn_tracking(tracking, forget)
     after_model = unlearn_model(model, after_tracking, forget)
@@ -578,7 +556,7 @@ def test_weight_step_paths_agree_with_a_refit(d, m):
     base = rand_batch(rng, 3 * d, d, 4)
     model, tracking = joint_fit(base, gamma)
     picked = rng.choice(3 * d, size=m, replace=False)
-    forget = base.permuted(picked)
+    forget = permuted(base, picked)
     after = unlearn_tracking(tracking, forget)
     assert after._update[0] is forget
     equal = FeatureBatch(forget.features, forget.labels, forget.sample_ids)
@@ -624,7 +602,7 @@ def test_updates_read_only_the_lower_triangle_of_t(m):
     assert rel_fro(grown_model.weights, solve_weights_oracle(both.features, both.labels, gamma)) <= 1e-9
 
     picked = rng.choice(60, size=m, replace=False)
-    forget = base.permuted(picked)
+    forget = permuted(base, picked)
     keep = np.setdiff1d(np.arange(60), picked)
     want_t = gram_inverse_oracle(base.features[keep], gamma)
     want_w = solve_weights_oracle(base.features[keep], base.labels[keep], gamma)
@@ -702,7 +680,7 @@ def _forget_stream_state(rng, n, d_f, d_c, gamma, forget_sizes):
     for size in forget_sizes:
         picked = all_indices[used : used + size]
         used += size
-        batches.append(base.permuted(picked))
+        batches.append(permuted(base, picked))
     return base, batches, model, tracking
 
 
@@ -772,14 +750,14 @@ def test_forget_request_order_does_not_matter():
 def test_row_order_inside_batch_does_not_matter():
     rng = np.random.default_rng(53)
     base = rand_batch(rng, 25, 5, 3)
-    shuffled = base.permuted(rng.permutation(25))
+    shuffled = permuted(base, rng.permutation(25))
     gamma = 0.7
     model_a, tracking_a = joint_fit(base, gamma)
     model_b, tracking_b = joint_fit(shuffled, gamma)
     assert rel_fro(model_a.weights, model_b.weights) <= 1e-10
     assert rel_fro(tracking_a.matrix, tracking_b.matrix) <= 1e-10
     extra = rand_batch(rng, 10, 5, 3, id_start=500)
-    extra_shuffled = extra.permuted(rng.permutation(10))
+    extra_shuffled = permuted(extra, rng.permutation(10))
     grown_a = learn_update(tracking_a, model_a, extra)
     grown_b = learn_update(tracking_a, model_a, extra_shuffled)
     assert rel_fro(grown_a[0].matrix, grown_b[0].matrix) <= 1e-10
@@ -820,19 +798,19 @@ def test_long_interleaved_stream_drift_stays_bounded():
     d_f, d_c, gamma, steps = 6, 3, 0.1, 2000
     pool = rand_batch(rng, 200 + 6 * steps, d_f, d_c)
     retained = list(range(200))
-    model, tracking = joint_fit(pool.permuted(retained), gamma)
+    model, tracking = joint_fit(permuted(pool, retained), gamma)
     next_row = 200
     for step in range(steps):
         size = int(rng.integers(1, 2 * d_f + 1))
         if step % 2 == 0:
             rows = list(range(next_row, next_row + size))
             next_row += size
-            tracking, model = learn_update(tracking, model, pool.permuted(rows))
+            tracking, model = learn_update(tracking, model, permuted(pool, rows))
             retained += rows
         else:
             size = min(size, len(retained))
             picked = set(rng.choice(retained, size=size, replace=False).tolist())
-            forget = pool.permuted(sorted(picked))
+            forget = permuted(pool, sorted(picked))
             tracking = unlearn_tracking(tracking, forget)
             model = unlearn_model(model, tracking, forget)
             retained = [r for r in retained if r not in picked]
@@ -852,17 +830,17 @@ def test_threaded_interleaved_stream_drift_stays_bounded():
     d_c, gamma, steps = 4, 0.1, 200
     pool = rand_batch(rng, 4 * d_f + m * steps // 2, d_f, d_c)
     retained = list(range(4 * d_f))
-    model, tracking = joint_fit(pool.permuted(retained), gamma)
+    model, tracking = joint_fit(permuted(pool, retained), gamma)
     next_row = len(retained)
     for step in range(steps):
         if step % 2 == 0:
             rows = list(range(next_row, next_row + m))
             next_row += m
-            tracking, model = learn_update(tracking, model, pool.permuted(rows))
+            tracking, model = learn_update(tracking, model, permuted(pool, rows))
             retained += rows
         else:
             picked = set(rng.choice(retained, size=m, replace=False).tolist())
-            forget = pool.permuted(sorted(picked))
+            forget = permuted(pool, sorted(picked))
             tracking = unlearn_tracking(tracking, forget)
             model = unlearn_model(model, tracking, forget)
             retained = [r for r in retained if r not in picked]

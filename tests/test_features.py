@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _helpers import accuracy_oracle
 
 from ridgeforget import (
     ContractViolation,
@@ -14,7 +15,6 @@ from ridgeforget import (
     InputError,
     RawDataset,
     SyntheticSpec,
-    accuracy,
     encode,
     generate_synthetic,
     joint_fit,
@@ -28,31 +28,31 @@ from ridgeforget import features
 
 def test_extract_zero_input_relu_is_zero():
     extractor = FeatureExtractor.from_seed(1, 5, 8)
-    assert np.array_equal(extractor.extract(np.zeros(5)), np.zeros(8))
+    assert np.array_equal(extractor.extract_rows(np.zeros((1, 5))), np.zeros((1, 8)))
 
 
 def test_identity_projection_identity_nonlinearity_is_passthrough():
     extractor = FeatureExtractor(0, 4, 4, "identity", np.eye(4))
     x = np.array([-1.5, 0.0, 2.0, 3.5])
-    assert np.array_equal(extractor.extract(x), x)
+    assert np.array_equal(extractor.extract_rows([x])[0], x)
 
 
 def test_extract_rejects_length_mismatch():
     extractor = FeatureExtractor.from_seed(1, 5, 8)
     with pytest.raises(ContractViolation):
-        extractor.extract(np.zeros(4))
+        extractor.extract_rows(np.zeros((1, 4)))
 
 
 def test_same_seed_same_features_across_processes():
     x = np.linspace(-1.0, 1.0, 6)
     extractor = FeatureExtractor.from_seed(42, 6, 9)
-    local_hash = hashlib.sha256(extractor.extract(x).tobytes()).hexdigest()
+    local_hash = hashlib.sha256(extractor.extract_rows([x]).tobytes()).hexdigest()
     code = (
         "import hashlib, numpy as np\n"
         "from ridgeforget import FeatureExtractor\n"
         "x = np.linspace(-1.0, 1.0, 6)\n"
         "e = FeatureExtractor.from_seed(42, 6, 9)\n"
-        "print(hashlib.sha256(e.extract(x).tobytes()).hexdigest())\n"
+        "print(hashlib.sha256(e.extract_rows([x]).tobytes()).hexdigest())\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -79,7 +79,8 @@ def test_extract_rows_matches_per_row_extract_bitwise():
         extractor = FeatureExtractor.from_seed(3, inputs.shape[1], feature_dim)
         stacked = extractor.extract_rows(inputs)
         for row in range(len(inputs)):
-            assert np.array_equal(stacked[row], extractor.extract(inputs[row]))
+            alone = extractor.extract_rows(inputs[row : row + 1])
+            assert np.array_equal(stacked[row : row + 1], alone)
 
 
 def test_projection_untouched_by_a_full_run():
@@ -136,7 +137,7 @@ def test_synthetic_classifier_generalizes_to_held_out_draw():
     train = encode(extractor, generate_synthetic(spec, draw=0))
     test = encode(extractor, generate_synthetic(spec, draw=1))
     model, _ = joint_fit(train.to_batch(), 1e-3)
-    assert accuracy(model, test) >= 95.0
+    assert accuracy_oracle(model, test) >= 95.0
 
 
 # ----------------------------------------------------------------- encode
@@ -154,7 +155,8 @@ def test_encode_single_row_matches_extract():
     extractor = FeatureExtractor.from_seed(4, 3, 5)
     raw = RawDataset([7], [[0.1, -0.3, 2.0]], [1], 3)
     encoded = encode(extractor, raw)
-    assert np.array_equal(encoded.features[0], extractor.extract([0.1, -0.3, 2.0]))
+    alone = extractor.extract_rows([[0.1, -0.3, 2.0]])
+    assert np.array_equal(encoded.features[:1], alone)
     assert np.array_equal(encoded.one_hots[0], [0.0, 1.0, 0.0])
 
 
@@ -166,7 +168,8 @@ def test_encode_rows_match_per_row_recomputation():
     )
     encoded = encode(extractor, raw)
     for row in (3, 17):
-        assert np.array_equal(encoded.features[row], extractor.extract(raw.inputs[row]))
+        alone = extractor.extract_rows(raw.inputs[row : row + 1])
+        assert np.array_equal(encoded.features[row : row + 1], alone)
 
 
 def test_encode_is_within_rounding_of_the_blas_product():

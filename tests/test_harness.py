@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _helpers import batch_union, fresh_state, rand_batch, rel_fro
+from _helpers import batch_union, fresh_state, permuted, rand_batch, rel_fro
 
 from ridgeforget import (
     AnalyticModel,
@@ -98,6 +98,14 @@ def test_more_forget_requests_than_forget_rows_rejected():
         build_stream(dataset, 2, 3, 4, seed=0)
     with pytest.raises(InputError, match="forget_requests 4 exceeds forget_total 3"):
         build_forget_stream(dataset, set(dataset.sample_ids.tolist()), 3, 4, seed=0)
+
+
+def test_more_learn_chunks_than_rows_rejected():
+    dataset = make_dataset(np.random.default_rng(4), 10, 3, 2)
+    stream = build_stream(dataset, 10, 0, 1, seed=0)
+    assert [len(b) for b in stream.learn_requests] == [1] * 10
+    with pytest.raises(InputError, match=r"learn_chunks must lie in \[1, 10\]"):
+        build_stream(dataset, 11, 0, 1, seed=0)
 
 
 def test_zero_forget_total_makes_no_forget_requests():
@@ -206,7 +214,7 @@ def test_stream_dims_must_match_the_state():
 def test_overlapping_forget_requests_rejected():
     rng = np.random.default_rng(29)
     batch = rand_batch(rng, 8, 4, 2)
-    half = batch.permuted(np.arange(4))
+    half = permuted(batch, np.arange(4))
     stream = RequestStream((batch,), (half, half))
     with pytest.raises(ContractViolation, match="overlap"):
         run_stream(stream, fresh_state(stream, 1.0))
@@ -215,10 +223,10 @@ def test_overlapping_forget_requests_rejected():
 def test_resumed_stream_cannot_reforget_before_any_request_runs():
     rng = np.random.default_rng(37)
     batch = rand_batch(rng, 8, 4, 2)
-    first = RequestStream((batch,), (batch.permuted([0, 1]),))
+    first = RequestStream((batch,), (permuted(batch, [0, 1]),))
     _, state = run_stream(first, fresh_state(first, 1.0))
     # the second batch re-forgets id 0, which the resumed state already forgot
-    stream = RequestStream((), (batch.permuted([2, 3]), batch.permuted([0, 4])))
+    stream = RequestStream((), (permuted(batch, [2, 3]), permuted(batch, [0, 4])))
     tracking, model = state.tracking, state.model
     with pytest.raises(ContractViolation, match="already forgotten"):
         run_stream(stream, state)
@@ -231,7 +239,8 @@ def test_aborted_run_leaves_state_at_last_completed_request():
     learn = FeatureBatch([[1.0, 0.0]], [[1.0, 0.0]], [0])
     # same id, rescaled features: passes id validation, breaks the math
     poisoned = FeatureBatch([[np.sqrt(2.0), 0.0]], [[1.0, 0.0]], [0])
-    stream = RequestStream((learn,), (FeatureBatch.empty(2, 2), poisoned))
+    empty = rand_batch(np.random.default_rng(0), 0, 2, 2)
+    stream = RequestStream((learn,), (empty, poisoned))
     state = EngineState.fresh(2, 2, 1.0)
     with pytest.raises(RunAbortedError) as excinfo:
         run_stream(stream, state)

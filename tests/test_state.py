@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,11 +139,13 @@ def test_unknown_version_is_version_error(tmp_path):
      (lambda h: h["extractor"].update(seed=-1), None),
      (lambda h: h.update(gamma=-1.0), None),
      (lambda h: h["extractor"].update(feature_dim=7), None),
+     (lambda h: h["extractor"].update(input_dim=10**15), None),
      (lambda h: h.update(checksum_algorithm="md5"), None),
      (lambda h: None, 1)],
     ids=["extractor-without-input-dim", "extractor-not-an-object",
          "unknown-nonlinearity", "negative-extractor-seed", "negative-gamma",
-         "extractor-dim-off-the-model", "unknown-checksum-algorithm",
+         "extractor-dim-off-the-model", "extractor-input-dim-over-bound",
+         "unknown-checksum-algorithm",
          "header-in-another-json-form"],
 )
 def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, indent):
@@ -161,9 +164,17 @@ def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, i
         load_state(path)
     # load_state is the first thing verify does, so the data need not exist
     absent = tmp_path / "absent.csv"
-    assert main(["verify", "--state", str(path), "--data", str(absent),
-                 "--test-data", str(absent)]) == 2
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--state", str(path), "--data", str(absent),
+                     "--test-data", str(absent)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # the header is checked before anything it sizes is drawn
+    assert peak < 1 << 23
 
 
 def test_state_without_extractor_round_trips(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from _helpers import rand_batch, rel_fro, solve_weights_oracle
+from _helpers import (
+    accuracy_oracle, permuted, rand_batch, rel_fro, solve_weights_oracle,
+)
 
 from ridgeforget import (
     AnalyticModel,
@@ -11,7 +13,6 @@ from ridgeforget import (
     InputError,
     SampleLedger,
     SyntheticSpec,
-    accuracy,
     encode,
     gap_report,
     generate_synthetic,
@@ -23,7 +24,7 @@ from ridgeforget import (
     unlearn_model,
     unlearn_tracking,
 )
-from ridgeforget.verify import fit_member_threshold, residual_scores
+from ridgeforget.verify import _scored, fit_member_threshold, residual_scores
 
 
 def dataset_from_batch(batch, class_count):
@@ -117,7 +118,7 @@ def test_accuracy_memorizing_model_scores_100():
     spec = SyntheticSpec(2, 5, 4, 0.05, 5)
     encoded = encode(FeatureExtractor.from_seed(6, 4, 16), generate_synthetic(spec))
     model, _ = joint_fit(encoded.to_batch(), 1e-4)
-    assert accuracy(model, encoded) == 100.0
+    assert _scored(model, encoded)[0] == 100.0
 
 
 def test_accuracy_zero_model_on_balanced_two_classes_is_50():
@@ -125,7 +126,7 @@ def test_accuracy_zero_model_on_balanced_two_classes_is_50():
     labels = np.array([0, 1] * 5)
     dataset = EncodedDataset(np.arange(10), features, labels, 2)
     model = AnalyticModel(np.zeros((3, 2)), 1.0)
-    assert accuracy(model, dataset) == 50.0
+    assert _scored(model, dataset)[0] == 50.0
 
 
 def test_accuracy_matches_straight_recount():
@@ -134,7 +135,7 @@ def test_accuracy_matches_straight_recount():
     labels = rng.integers(0, 3, 30)
     dataset = EncodedDataset(np.arange(30), features, labels, 3)
     model = AnalyticModel(rng.standard_normal((5, 3)), 1.0)
-    got = accuracy(model, dataset)
+    got = _scored(model, dataset)[0]
     _, classes = predict(model, features)
     hits = sum(1 for r in range(30) if classes[r] == labels[r])
     assert got == 100.0 * hits / 30
@@ -146,7 +147,7 @@ def test_accuracy_empty_rows_is_input_error():
         np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0, np.int64), 2
     )
     with pytest.raises(InputError):
-        accuracy(model, empty)
+        _scored(model, empty)
 
 
 # -------------------------------------------------------------- params_gap
@@ -291,7 +292,7 @@ def _recursive_unlearn_setup(seed=101, n=80, d_f=8, d_c=3, gamma=1e-3):
     test_rows = dataset_from_batch(rand_batch(rng, 30, d_f, d_c, id_start=5000), d_c)
     model, tracking = joint_fit(batch, gamma)
     ledger = SampleLedger(set(batch.sample_ids.tolist()))
-    forget = batch.permuted(rng.choice(n, size=20, replace=False))
+    forget = permuted(batch, rng.choice(n, size=20, replace=False))
     tracking = unlearn_tracking(tracking, forget)
     model = unlearn_model(model, tracking, forget)
     ledger.record_forget(forget.sample_ids)
@@ -322,9 +323,13 @@ def test_gap_report_zero_model_against_nonzero_reference():
     report = gap_report(zero, dataset, ledger, test_rows, 3)
     assert report.delta_params == 1.0
     retained = dataset.subset_by_ids(ledger.retained_ids)
-    want_retain = abs(accuracy(zero, retained) - accuracy(retrained, retained))
+    want_retain = abs(
+        accuracy_oracle(zero, retained) - accuracy_oracle(retrained, retained)
+    )
     assert report.delta_retain == want_retain
-    want_test = abs(accuracy(zero, test_rows) - accuracy(retrained, test_rows))
+    want_test = abs(
+        accuracy_oracle(zero, test_rows) - accuracy_oracle(retrained, test_rows)
+    )
     assert report.delta_test == want_test
 
 
@@ -349,19 +354,22 @@ def test_gap_report_csv_row_shape():
 
 
 def _composed_deltas(model, dataset, ledger, test_rows):
-    """gap_report's deltas from the public metric functions."""
+    """gap_report's deltas from the public metric functions, with the
+    accuracy gaps taken from the independent accuracy oracle."""
     retrained = oracle_retrain(dataset, ledger, model.gamma)
     retained = dataset.subset_by_ids(ledger.retained_ids)
     deltas = [
         params_gap(model, retrained),
-        abs(accuracy(model, retained) - accuracy(retrained, retained)),
+        abs(accuracy_oracle(model, retained) - accuracy_oracle(retrained, retained)),
         0.0,
-        abs(accuracy(model, test_rows) - accuracy(retrained, test_rows)),
+        abs(accuracy_oracle(model, test_rows) - accuracy_oracle(retrained, test_rows)),
         0.0,
     ]
     if ledger.forgotten_ids:
         forgotten = dataset.subset_by_ids(ledger.forgotten_ids)
-        deltas[2] = abs(accuracy(model, forgotten) - accuracy(retrained, forgotten))
+        deltas[2] = abs(
+            accuracy_oracle(model, forgotten) - accuracy_oracle(retrained, forgotten)
+        )
         deltas[4] = 100.0 * mia_gap(model, retrained, dataset, ledger, test_rows)
     return deltas
 
