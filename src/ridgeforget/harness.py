@@ -209,6 +209,23 @@ def build_forget_stream(
     )
 
 
+def _check_verifiable(stream, state, verify_every, test_rows) -> None:
+    """Verification's preconditions on a validated stream, checked before any
+    request runs: at least one test row, and a retained row after every
+    verified forget request (the stream's ids are distinct, so counts do)."""
+    if len(test_rows) == 0:
+        raise InputError("verification requires at least one test row")
+    retained = len(state.ledger.learned_ids) - len(state.ledger.forgotten_ids)
+    retained += sum(len(batch) for batch in stream.learn_requests)
+    for index, batch in enumerate(stream.forget_requests, start=1):
+        retained -= len(batch)
+        if index % verify_every == 0 and retained == 0:
+            raise InputError(
+                f"forget request {index} would leave no retained row, so it "
+                "cannot be verified against a model retrained on the rest"
+            )
+
+
 def run_stream(
     stream: RequestStream,
     state: EngineState,
@@ -222,15 +239,19 @@ def run_stream(
 
     Returns (RunRecord, state).  When verify_every = v > 0, a gap report
     against the retrained oracle is attached to every v-th forget request
-    (requires `dataset` and `test_rows`).  Wall time covers only the
-    tracking/weight update calls.  A failing request aborts the run with its
-    index; `state` stays at the last completed request.
+    (requires `dataset`, at least one test row and a retained row after
+    each verified request, all checked before the first request runs).
+    Wall time covers only the tracking/weight update calls.  A failing
+    request aborts the run with its index; `state` stays at the last
+    completed request.
     """
     if verify_every < 0:
         raise InputError(f"verify_every must be >= 0, got {verify_every}")
     if verify_every > 0 and (dataset is None or test_rows is None):
         raise InputError("verification requires dataset and test_rows")
     stream.validate(state)
+    if verify_every > 0:
+        _check_verifiable(stream, state, verify_every, test_rows)
 
     record = RunRecord()
 

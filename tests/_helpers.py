@@ -81,6 +81,23 @@ def accuracy_oracle(model, rows):
     return 100.0 * float(np.mean(classes == rows.label_indices))
 
 
+def member_threshold_oracle(member, nonmember):
+    """The smallest threshold t, among -inf and every pooled score, that
+    minimizes the errors of the rule `member iff score <= t`; straight loops
+    over Python lists."""
+    best_threshold, best_errors = None, None
+    for threshold in [-np.inf] + list(member) + list(nonmember):
+        errors = sum(1 for s in member if s > threshold)
+        errors += sum(1 for s in nonmember if s <= threshold)
+        if (
+            best_errors is None
+            or errors < best_errors
+            or (errors == best_errors and threshold < best_threshold)
+        ):
+            best_threshold, best_errors = threshold, errors
+    return best_threshold
+
+
 def rel_fro(actual, reference, floor=1e-30):
     return float(
         np.linalg.norm(np.asarray(actual) - np.asarray(reference))

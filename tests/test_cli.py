@@ -201,6 +201,71 @@ def test_verification_without_test_data_exits_1(tmp_path, data_files, capsys):
     assert "test-data" in capsys.readouterr().err
 
 
+@pytest.fixture
+def thirty_rows(tmp_path):
+    """A 30-row raw CSV (3 classes x 10), a 15-row test CSV and a test CSV
+    that holds only its header."""
+    train, test, empty = (tmp_path / n for n in ("train.csv", "test.csv", "empty.csv"))
+    sizes = ("--classes", 3, "--input-dim", 4, "--seed", 1)
+    assert run_cli("gen-data", *sizes, "--per-class", 10, "--out", train) == 0
+    assert run_cli(
+        "gen-data", *sizes, "--per-class", 5, "--draw", 1, "--out", test
+    ) == 0
+    empty.write_text(test.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                     encoding="utf-8")
+    return train, test, empty
+
+
+@pytest.mark.parametrize(
+    "forget_total, test_name, message",
+    [(30, "test", "forget request 3 would leave no retained row"),
+     (6, "empty", "verification requires at least one test row")],
+    ids=["all-rows-forgotten", "header-only-test-data"],
+)
+def test_unverifiable_run_exits_1_before_any_request(
+    tmp_path, thirty_rows, capsys, monkeypatch, forget_total, test_name, message
+):
+    train, test, empty = thirty_rows
+    capsys.readouterr()
+    updates = []
+    monkeypatch.setattr(
+        "ridgeforget.harness.learn_update", lambda *args: updates.append(args)
+    )
+    report, state = tmp_path / "r.csv", tmp_path / "s.state"
+    code = run_cli(
+        "run", "--data", train, "--test-data", {"test": test, "empty": empty}[test_name],
+        "--forget-total", forget_total, "--requests", 3, "--verify-every", 1,
+        "--feature-dim", 8, "--state", state, "--out", report,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert updates == []
+    assert not report.exists() and not state.exists()
+
+
+def test_verify_without_retained_or_test_rows_exits_1_naming_the_cause(
+    tmp_path, thirty_rows, capsys
+):
+    train, test, empty = thirty_rows
+    state = tmp_path / "all.state"
+    assert run_cli(
+        "run", "--data", train, "--forget-total", 30, "--requests", 3,
+        "--feature-dim", 8, "--state", state,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--state", state, "--data", train, "--test-data", test) == 1
+    assert "the ledger retains none of its 30 learned ids" in capsys.readouterr().err
+    kept = tmp_path / "kept.state"
+    assert run_cli(
+        "run", "--data", train, "--forget-total", 3, "--requests", 1,
+        "--feature-dim", 8, "--state", kept,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--state", kept, "--data", train, "--test-data", empty) == 1
+    assert "a gap report needs at least one test row" in capsys.readouterr().err
+
+
 def test_gen_data_is_deterministic(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -296,6 +296,49 @@ def test_verification_needs_dataset_and_test_rows():
         run_stream(RequestStream((), ()), EngineState.fresh(2, 2, 1.0), verify_every=1)
 
 
+@pytest.mark.parametrize(
+    "forget_total, test_count, resumed, message",
+    [(12, 5, False, "forget request 3 would leave no retained row"),
+     (6, 0, False, "verification requires at least one test row"),
+     (4, 5, True, "forget request 2 would leave no retained row")],
+    ids=["all-rows-forgotten", "empty-test-rows", "resumed-ledger"],
+)
+def test_unverifiable_stream_rejected_before_any_request(
+    forget_total, test_count, resumed, message
+):
+    rng = np.random.default_rng(41)
+    dataset = make_dataset(rng, 12, 4, 3)
+    test_rows = make_dataset(rng, test_count, 4, 3, id_start=100)
+    state = EngineState.fresh(4, 3, 1.0)
+    if resumed:  # 8 of the 12 rows already forgotten
+        _, state = run_stream(build_stream(dataset, 2, 8, 2, seed=3), state)
+        stream = build_forget_stream(
+            dataset, state.ledger.retained_ids, forget_total, 2, seed=4
+        )
+    else:
+        stream = build_stream(dataset, 2, forget_total, 3, seed=3)
+    model, ledger = state.model, state.ledger.copy()
+    with pytest.raises(InputError, match=message):
+        run_stream(stream, state, verify_every=1, dataset=dataset, test_rows=test_rows)
+    assert state.model is model
+    assert state.ledger.learned_ids == ledger.learned_ids
+    assert state.ledger.forgotten_ids == ledger.forgotten_ids
+
+
+def test_unverified_request_may_forget_every_row():
+    dataset = make_dataset(np.random.default_rng(43), 12, 4, 3)
+    stream = build_stream(dataset, 2, 12, 3, seed=3)
+    # requests 1 and 2 are verified; request 3, which empties the ledger, is not
+    record, state = run_stream(
+        stream, EngineState.fresh(4, 3, 1.0), verify_every=2,
+        dataset=dataset, test_rows=dataset,
+    )
+    assert [r.report is not None for r in record.per_request[2:]] == [
+        False, True, False
+    ]
+    assert state.ledger.retained_ids == frozenset()
+
+
 def test_build_forget_stream_draws_from_eligible_ids_only():
     dataset = make_dataset(np.random.default_rng(31), 30, 4, 2)
     eligible = set(dataset.sample_ids[:12].tolist())

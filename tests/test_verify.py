@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from _helpers import (
-    accuracy_oracle, permuted, rand_batch, rel_fro, solve_weights_oracle,
+    accuracy_oracle, member_threshold_oracle, permuted, rand_batch, rel_fro,
+    solve_weights_oracle,
 )
 
 from ridgeforget import (
@@ -24,6 +25,7 @@ from ridgeforget import (
     unlearn_model,
     unlearn_tracking,
 )
+from ridgeforget import verify
 from ridgeforget.verify import _scored, fit_member_threshold, residual_scores
 
 
@@ -212,6 +214,25 @@ def sweep_oracle_member_rate(member, nonmember, scored):
     return sum(1 for s in scored if s <= best_threshold) / len(scored)
 
 
+@pytest.mark.parametrize("class_count", [2, 3, 10, 17])
+def test_residual_scores_match_a_straight_loop(class_count):
+    rng = np.random.default_rng(79)
+    features = rng.standard_normal((40, 6))
+    rows = EncodedDataset(np.arange(40), features, rng.integers(0, class_count, 40),
+                          class_count)
+    model = AnalyticModel(rng.standard_normal((6, class_count)), 1.0)
+    scores = features @ model.weights
+    want = [
+        sum((rows.one_hots[j, k] - scores[j, k]) ** 2 for k in range(class_count))
+        for j in range(40)
+    ]
+    # the same c non-negative terms summed in another order: c roundings
+    eps = np.finfo(np.float64).eps
+    got = residual_scores(model, rows)
+    np.testing.assert_allclose(got, want, rtol=class_count * eps, atol=0.0)
+    np.testing.assert_array_equal(_scored(model, rows)[1], got)
+
+
 def _memorization_setup():
     # Over-parameterized fits: the full-data model keeps near-zero residuals
     # on the forgotten rows, the retrained one does not.
@@ -270,6 +291,31 @@ def test_mia_gap_survives_identical_score_distributions():
 def test_fit_member_threshold_is_deterministic_under_ties():
     scores = [1.0, 2.0, 3.0]
     assert fit_member_threshold(scores, scores) == fit_member_threshold(scores, scores)
+
+
+def _threshold_case(rng, case):
+    """(member, nonmember) scores of one seeded case; every fourth case has
+    integer scores (heavy ties), every fourth identical sides, and cases 3
+    and 7 mod 8 an empty member or non-member side."""
+    sizes = rng.integers(1, 30, 2)
+    if case % 8 == 3:
+        sizes[0] = 0
+    elif case % 8 == 7:
+        sizes[1] = 0
+    if case % 4 == 0:
+        return [rng.integers(0, 6, size).astype(float) for size in sizes]
+    if case % 4 == 1:
+        member = rng.integers(0, 10, sizes[0]).astype(float)
+        return member, rng.permutation(member)
+    return [rng.gamma(2.0, 1e-3, size) for size in sizes]
+
+
+def test_fit_member_threshold_matches_the_brute_force_oracle():
+    rng = np.random.default_rng(113)
+    for case in range(200):
+        member, nonmember = _threshold_case(rng, case)
+        want = member_threshold_oracle(member.tolist(), nonmember.tolist())
+        assert fit_member_threshold(member, nonmember) == want, case
 
 
 def test_mia_gap_requires_nonempty_sets():
@@ -404,25 +450,72 @@ def test_gap_report_without_forgotten_rows_equals_the_public_metrics():
     assert _report_deltas(report) == _composed_deltas(model, dataset, ledger, test_rows)
 
 
+def _ledger_case(case):
+    """(perturbed model, dataset, ledger, test rows) for one ledger shape."""
+    model, dataset, ledger, test_rows = _recursive_unlearn_setup(n=60, d_f=30)
+    rng = np.random.default_rng(109)
+    if case == "nothing-forgotten":
+        ledger = SampleLedger(ledger.learned_ids)
+    elif case == "one-row-retained":
+        ids = sorted(ledger.learned_ids)
+        ledger = SampleLedger(set(ids), set(ids[1:]))
+    else:
+        # rows out of id order under ids that are not 0..n-1; with
+        # "unlearned-rows" the ledger learned only some of them
+        order = rng.permutation(len(dataset))
+        ids = 1000 + 7 * rng.permutation(len(dataset))
+        dataset = EncodedDataset(
+            ids, dataset.features[order], dataset.label_indices[order],
+            dataset.class_count,
+        )
+        learned = ids[: 45 if case == "unlearned-rows" else len(ids)]
+        forgotten = rng.choice(learned, size=15, replace=False)
+        ledger = SampleLedger(set(learned.tolist()), set(forgotten.tolist()))
+    perturbed = AnalyticModel(
+        model.weights + 0.5 * rng.standard_normal(model.weights.shape), model.gamma
+    )
+    return perturbed, dataset, ledger, test_rows
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["nothing-forgotten", "one-row-retained", "shuffled-ids", "unlearned-rows"],
+)
+def test_gap_report_equals_the_public_metrics_across_ledgers(case):
+    model, dataset, ledger, test_rows = _ledger_case(case)
+    report = gap_report(model, dataset, ledger, test_rows, 8)
+    assert report.no_forgotten == (case == "nothing-forgotten")
+    assert report.delta_params > 0.0
+    assert _report_deltas(report) == _composed_deltas(model, dataset, ledger, test_rows)
+
+
 @pytest.mark.parametrize("forgets, gathers", [(True, 2), (False, 1)])
 def test_gap_report_gathers_each_row_set_once(monkeypatch, forgets, gathers):
+    """One _locate per ledger id set, one gather of the retained rows (and
+    one of the forgotten rows), one score product per row set, no batch
+    re-validation."""
     model, dataset, ledger, test_rows = _recursive_unlearn_setup()
     if not forgets:
         ledger = SampleLedger(ledger.learned_ids)
-    calls = {"subset_by_ids": 0, "validate": 0}
-    subset_by_ids = EncodedDataset.subset_by_ids
-    validate = FeatureBatch.__post_init__
+    calls = {"_locate": 0, "_take": 0, "products": 0, "subset_by_ids": 0, "validate": 0}
 
-    def counted_subset_by_ids(self, ids):
-        calls["subset_by_ids"] += 1
-        return subset_by_ids(self, ids)
+    def counted(owner, name, key):
+        original = getattr(owner, name)
 
-    def counted_validate(self):
-        calls["validate"] += 1
-        validate(self)
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
 
-    monkeypatch.setattr(EncodedDataset, "subset_by_ids", counted_subset_by_ids)
-    monkeypatch.setattr(FeatureBatch, "__post_init__", counted_validate)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(EncodedDataset, "_locate", "_locate")
+    counted(EncodedDataset, "_take", "_take")
+    counted(EncodedDataset, "subset_by_ids", "subset_by_ids")
+    counted(verify, "_scored_together", "products")
+    counted(FeatureBatch, "__post_init__", "validate")
     report = gap_report(model, dataset, ledger, test_rows, 6)
     assert report.no_forgotten is not forgets
-    assert calls == {"subset_by_ids": gathers, "validate": 0}
+    assert calls == {
+        "_locate": 2, "_take": gathers, "products": gathers + 1,
+        "subset_by_ids": 0, "validate": 0,
+    }
