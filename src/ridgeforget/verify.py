@@ -6,14 +6,14 @@ that reference: normalized weight distance, accuracy gaps on the retained /
 forgotten / test rows, and a membership-inference gap built from a
 residual-threshold classifier.  Exact removal drives all of them to zero.
 
-gap_report locates the ledger's learned ids and forgotten ids once each,
-marks them in one row-kind vector, and gathers the retained rows once.  It
-refits the oracle from those feature rows (never from T or the updated
-model), and scores each row set with one product rows.features @ [W_u | W_r]
-for both models: each model's argmax accuracy and squared residuals come from
-its own column block.  oracle_retrain, params_gap and mia_gap share its
-private helpers, so each metric has one definition; the accuracy gaps have no
-public function of their own.
+gap_report gathers the retained rows and the forgotten rows with one
+subset_by_ids each, so every learned id is located once.  It refits the
+oracle from the retained feature rows (never from T or the updated model),
+and scores each row set (retained, test, forgotten) for both models with one
+product rows.features @ [W_u | W_r]: each model's argmax accuracy and squared
+residuals come from its own half of the score rows.  oracle_retrain,
+params_gap and mia_gap share its private helpers, so each metric has one
+definition; the accuracy gaps have no public function of their own.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AnalyticModel, joint_fit, predict
+from .core import AnalyticModel, joint_fit
+from .core import predict  # noqa: F401  kept: perfbench/tracing.py patches verify.predict
 from .errors import ContractViolation, InputError
 from .features import EncodedDataset
 
 PARAMS_GAP_EPSILON = 1e-30
-
-# row kinds _ledger_rows marks; rows the ledger never learned stay 0
-_RETAINED, _FORGOTTEN = 1, 2
 
 GAP_CSV_HEADER = "request,delta_params,delta_retain,delta_forget,delta_test,delta_mia"
 
@@ -90,23 +88,22 @@ class SampleLedger:
 
 
 def _ledger_rows(dataset: EncodedDataset, ledger: SampleLedger):
-    """(retained rows, forgotten rows) of `dataset` as row indices in dataset
-    order, from one _locate per ledger id set.  A learned id no row holds is
-    a contract violation."""
-
-    def located(ids):
-        return dataset._locate(np.fromiter(ids, dtype=np.int64, count=len(ids)))
-
-    learned, unknown = located(ledger.learned_ids)
-    if unknown.size:
+    """(retained rows, forgotten rows) of `dataset` in dataset order, one
+    subset_by_ids each, so every learned id is located once; the forgotten
+    rows are None when nothing is forgotten.  A learned id no row holds is a
+    contract violation."""
+    try:
+        # the set difference itself: retained_ids would copy it into a frozenset
+        retained = dataset.subset_by_ids(ledger.learned_ids - ledger.forgotten_ids)
+        forgotten = (
+            dataset.subset_by_ids(ledger.forgotten_ids) if ledger.forgotten_ids else None
+        )
+    except ContractViolation:
+        _, unknown = dataset._locate(np.fromiter(ledger.learned_ids, dtype=np.int64))
         raise ContractViolation(
             f"ledger references ids missing from dataset: {unknown[:5].tolist()}"
-        )
-    forgotten, _ = located(ledger.forgotten_ids)  # learned ids, so all found
-    kind = np.zeros(len(dataset), dtype=np.int8)
-    kind[learned] = _RETAINED
-    kind[forgotten] = _FORGOTTEN
-    return np.flatnonzero(kind == _RETAINED), np.flatnonzero(kind == _FORGOTTEN)
+        ) from None
+    return retained, forgotten
 
 
 def oracle_retrain(
@@ -118,48 +115,31 @@ def oracle_retrain(
     recursive updates it is allowed to touch retained data.
     """
     retained, _ = _ledger_rows(dataset, ledger)
-    model, _ = joint_fit(dataset._take(retained).to_batch(), gamma)
+    model, _ = joint_fit(retained.to_batch(), gamma)
     return model
 
 
-def _residuals(rows: EncodedDataset, scores: np.ndarray) -> np.ndarray:
-    residual = rows.one_hots - scores
-    # one fused pass per row; np.sum(residual * residual, axis=1) took 5x longer
-    return np.einsum("ij,ij->i", residual, residual)
-
-
-def _scored_together(rows: EncodedDataset, models) -> list:
-    """[(accuracy, residual scores)] of each model on `rows`, all from one
-    product rows.features @ [W_1 | W_2 | ...] (the models share one weight
-    shape); each model's argmax (ties to the lowest class) and squared
-    residuals read its own column block."""
+def _scored(rows: EncodedDataset, unlearned: AnalyticModel, retrained: AnalyticModel):
+    """[(accuracy, residual scores) of `unlearned`, the same of `retrained`]
+    on `rows`, from one product rows.features @ [W_u | W_r]: each model's
+    argmax (ties to the lowest class) and squared residuals ||y - f W||^2
+    read its own half of every score row."""
     if len(rows) == 0:
         raise InputError("accuracy over an empty row set is undefined")
-    weights = np.hstack([model.weights for model in models])
-    if rows.feature_dim != weights.shape[0]:
-        raise ContractViolation(
-            f"features must be n x {weights.shape[0]}, got {rows.features.shape}"
-        )
-    scored = []
-    for block in np.split(rows.features @ weights, len(models), axis=1):
-        block = np.ascontiguousarray(block)  # argmax ran 1.8x slower on the view
-        hits = int(np.count_nonzero(np.argmax(block, axis=1) == rows.label_indices))
-        scored.append((100.0 * (hits / len(rows)), _residuals(rows, block)))
-    return scored
-
-
-def _scored(model: AnalyticModel, rows: EncodedDataset):
-    """(accuracy, residual scores) of `model` on `rows`, from one product."""
-    return _scored_together(rows, [model])[0]
-
-
-def _scored_pairs(unlearned, retrained, row_sets):
-    """([(accuracy, residuals)] of `unlearned`, the same of `retrained`),
-    one entry per row set, each row set scored for both in one product."""
-    updated, reference = zip(
-        *(_scored_together(rows, [unlearned, retrained]) for rows in row_sets)
-    )
-    return updated, reference
+    n, d, c = len(rows), rows.feature_dim, rows.class_count
+    for model in (unlearned, retrained):
+        if model.weights.shape != (d, c):
+            raise ContractViolation(
+                f"weights must be {d} x {c} for these rows, got {model.weights.shape}"
+            )
+    weights = np.hstack([unlearned.weights, retrained.weights])
+    scores = (rows.features @ weights).reshape(n, 2, c)
+    hits = np.argmax(scores, axis=2) == rows.label_indices[:, None]
+    # in place: the residual's sign does not change its square
+    scores -= rows.one_hots[:, None, :]
+    residuals = np.einsum("ikj,ikj->ki", scores, scores)
+    # one count per model column: count_nonzero(axis=0) took 7x longer
+    return [(100.0 * (int(np.count_nonzero(hits[:, k])) / n), residuals[k]) for k in (0, 1)]
 
 
 def params_gap(a: AnalyticModel, b: AnalyticModel) -> float:
@@ -172,12 +152,6 @@ def params_gap(a: AnalyticModel, b: AnalyticModel) -> float:
     return float(np.linalg.norm(a.weights - b.weights)) / max(
         norm_b, PARAMS_GAP_EPSILON
     )
-
-
-def residual_scores(model: AnalyticModel, rows: EncodedDataset) -> np.ndarray:
-    """Per-sample squared residual ||y - f W||^2, the membership score."""
-    scores, _ = predict(model, rows.features)
-    return _residuals(rows, scores)
 
 
 def fit_member_threshold(member_scores, nonmember_scores) -> float:
@@ -213,12 +187,13 @@ def mia_gap(
     difference between the two models.
     """
     retained, forgotten = _ledger_rows(dataset, ledger)
-    if forgotten.size == 0:
+    if forgotten is None:
         raise InputError("mia_gap requires a non-empty forgotten set")
-    if retained.size == 0 or len(test_rows) == 0:
+    if len(retained) == 0 or len(test_rows) == 0:
         raise InputError("mia_gap requires non-empty retained and test sets")
-    row_sets = (dataset._take(retained), test_rows, dataset._take(forgotten))
-    updated, reference = _scored_pairs(unlearned, retrained, row_sets)
+    updated, reference = zip(
+        *(_scored(rows, unlearned, retrained) for rows in (retained, test_rows, forgotten))
+    )
     return _membership_gap([r for _, r in updated], [r for _, r in reference])
 
 
@@ -279,26 +254,24 @@ def gap_report(
     """Retrain the oracle and compute every gap metric for `unlearned`.
 
     Equal to composing oracle_retrain, params_gap, mia_gap and a per-row-set
-    accuracy, but each ledger id set is located once, the retained rows are
-    gathered once, and each row set is scored for both models in one
-    product.  A ledger that retains no row, or an empty test set, is an
-    InputError naming the cause."""
-    retained_at, forgotten_at = _ledger_rows(dataset, ledger)
-    if retained_at.size == 0:
+    accuracy, but each row set is gathered once and scored for both models
+    in one product.  A ledger that retains no row, or an empty test set, is
+    an InputError naming the cause."""
+    retained, forgotten = _ledger_rows(dataset, ledger)
+    if len(retained) == 0:
         raise InputError(
             f"the ledger retains none of its {len(ledger.learned_ids)} learned "
             "ids, so there is no retained row to refit the oracle on"
         )
     if len(test_rows) == 0:
         raise InputError("a gap report needs at least one test row")
-    retained = dataset._take(retained_at)
     retrained, _ = joint_fit(retained.to_batch(), unlearned.gamma)
     delta_params = params_gap(unlearned, retrained)
-    row_sets = [retained, test_rows]
-    if forgotten_at.size:
-        row_sets.append(dataset._take(forgotten_at))
+    row_sets = [retained, test_rows] + ([] if forgotten is None else [forgotten])
     # (accuracy, residual scores) per row set: retained, test[, forgotten]
-    updated, reference = _scored_pairs(unlearned, retrained, row_sets)
+    updated, reference = zip(
+        *(_scored(rows, unlearned, retrained) for rows in row_sets)
+    )
     delta_retain, delta_test, *delta_forget = [
         abs(a - b) for (a, _), (b, _) in zip(updated, reference)
     ]

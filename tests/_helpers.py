@@ -81,6 +81,13 @@ def accuracy_oracle(model, rows):
     return 100.0 * float(np.mean(classes == rows.label_indices))
 
 
+def residual_scores(model, rows):
+    """Per-row squared residual ||y - f W||^2 of `model` on `rows` (an
+    EncodedDataset), the membership score; scored without `verify`."""
+    residual = rows.one_hots - rows.features @ model.weights
+    return np.sum(residual * residual, axis=1)
+
+
 def member_threshold_oracle(member, nonmember):
     """The smallest threshold t, among -inf and every pooled score, that
     minimizes the errors of the rule `member iff score <= t`; straight loops

@@ -244,6 +244,21 @@ def test_unverifiable_run_exits_1_before_any_request(
     assert not report.exists() and not state.exists()
 
 
+def test_run_with_no_verified_request_accepts_header_only_test_data(
+    tmp_path, thirty_rows
+):
+    train, _, empty = thirty_rows
+    report = tmp_path / "r.csv"
+    # 3 forget requests, every 4th verified: none is, so no test row is needed
+    assert run_cli(
+        "run", "--data", train, "--test-data", empty, "--forget-total", 6,
+        "--requests", 3, "--verify-every", 4, "--feature-dim", 8, "--out", report,
+    ) == 0
+    rows = report.read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["learn"] * 8 + ["forget"] * 3
+    assert all(row.endswith(",,,,,") for row in rows[1:])
+
+
 def test_verify_without_retained_or_test_rows_exits_1_naming_the_cause(
     tmp_path, thirty_rows, capsys
 ):

@@ -339,6 +339,24 @@ def test_unverified_request_may_forget_every_row():
     assert state.ledger.retained_ids == frozenset()
 
 
+@pytest.mark.parametrize(
+    "forget_total, requests, verify_every",
+    [(0, 1, 1), (6, 3, 4)],
+    ids=["no-forget-requests", "verify-every-beyond-the-requests"],
+)
+def test_no_verified_request_needs_no_test_rows(forget_total, requests, verify_every):
+    rng = np.random.default_rng(47)
+    dataset = make_dataset(rng, 12, 4, 3)
+    stream = build_stream(dataset, 2, forget_total, requests, seed=3)
+    record, state = run_stream(
+        stream, EngineState.fresh(4, 3, 1.0), verify_every=verify_every,
+        dataset=dataset, test_rows=make_dataset(rng, 0, 4, 3, id_start=100),
+    )
+    assert len(record.per_request) == 2 + len(stream.forget_requests)
+    assert all(r.report is None for r in record.per_request)
+    assert len(state.ledger.retained_ids) == 12 - forget_total
+
+
 def test_build_forget_stream_draws_from_eligible_ids_only():
     dataset = make_dataset(np.random.default_rng(31), 30, 4, 2)
     eligible = set(dataset.sample_ids[:12].tolist())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from _helpers import (
     accuracy_oracle, member_threshold_oracle, permuted, rand_batch, rel_fro,
-    solve_weights_oracle,
+    residual_scores, solve_weights_oracle,
 )
 
 from ridgeforget import (
@@ -26,7 +26,16 @@ from ridgeforget import (
     unlearn_tracking,
 )
 from ridgeforget import verify
-from ridgeforget.verify import _scored, fit_member_threshold, residual_scores
+from ridgeforget.verify import _scored as _scored_both, fit_member_threshold
+
+
+def _scored(model, rows):
+    """(accuracy, residual scores) of `model` on `rows` through gap_report's
+    scoring, with `model` as both of the models it scores together."""
+    first, second = _scored_both(rows, model, model)
+    assert first[0] == second[0]
+    np.testing.assert_array_equal(first[1], second[1])
+    return first
 
 
 def dataset_from_batch(batch, class_count):
@@ -228,9 +237,8 @@ def test_residual_scores_match_a_straight_loop(class_count):
     ]
     # the same c non-negative terms summed in another order: c roundings
     eps = np.finfo(np.float64).eps
-    got = residual_scores(model, rows)
-    np.testing.assert_allclose(got, want, rtol=class_count * eps, atol=0.0)
-    np.testing.assert_array_equal(_scored(model, rows)[1], got)
+    for got in (_scored(model, rows)[1], residual_scores(model, rows)):
+        np.testing.assert_allclose(got, want, rtol=class_count * eps, atol=0.0)
 
 
 def _memorization_setup():
@@ -286,6 +294,13 @@ def test_mia_gap_survives_identical_score_distributions():
     )
     model = oracle_retrain(dataset, ledger, 0.5)
     assert mia_gap(model, model, dataset, ledger, test_rows) == 0.0
+
+
+def test_mia_gap_rejects_a_model_of_another_shape():
+    dataset, ledger, test_rows, _, retrained = _memorization_setup()
+    wider = AnalyticModel(np.zeros((40, 3)), 1e-6)
+    with pytest.raises(ContractViolation, match=r"weights must be 40 x 2 .* \(40, 3\)"):
+        mia_gap(wider, retrained, dataset, ledger, test_rows)
 
 
 def test_fit_member_threshold_is_deterministic_under_ties():
@@ -399,6 +414,14 @@ def test_gap_report_csv_row_shape():
     assert len(row.split(",")) == 6
 
 
+def test_gap_report_csv_row_holds_plain_floats():
+    model, dataset, ledger, test_rows = _recursive_unlearn_setup()
+    report = gap_report(model, dataset, ledger, test_rows, 7)
+    assert all(type(d) is float for d in report.deltas)
+    fields = report.to_csv_row().split(",")
+    assert [float(f) for f in fields[1:]] == list(report.deltas)
+
+
 def _composed_deltas(model, dataset, ledger, test_rows):
     """gap_report's deltas from the public metric functions, with the
     accuracy gaps taken from the independent accuracy oracle."""
@@ -491,31 +514,50 @@ def test_gap_report_equals_the_public_metrics_across_ledgers(case):
 
 @pytest.mark.parametrize("forgets, gathers", [(True, 2), (False, 1)])
 def test_gap_report_gathers_each_row_set_once(monkeypatch, forgets, gathers):
-    """One _locate per ledger id set, one gather of the retained rows (and
-    one of the forgotten rows), one score product per row set, no batch
+    model, dataset, ledger, test_rows = _recursive_unlearn_setup()
+    if not forgets:
+        ledger = SampleLedger(ledger.learned_ids)
+    calls = {"subset_by_ids": 0, "validate": 0}
+    subset_by_ids = EncodedDataset.subset_by_ids
+    validate = FeatureBatch.__post_init__
+
+    def counted_subset_by_ids(self, ids):
+        calls["subset_by_ids"] += 1
+        return subset_by_ids(self, ids)
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        validate(self)
+
+    monkeypatch.setattr(EncodedDataset, "subset_by_ids", counted_subset_by_ids)
+    monkeypatch.setattr(FeatureBatch, "__post_init__", counted_validate)
+    report = gap_report(model, dataset, ledger, test_rows, 6)
+    assert report.no_forgotten is not forgets
+    assert calls == {"subset_by_ids": gathers, "validate": 0}
+
+
+@pytest.mark.parametrize("forgets", [True, False])
+def test_gap_report_locates_and_scores_each_row_set_once(monkeypatch, forgets):
+    """One _locate per ledger id set (retained, forgotten), one score product
+    of both models per row set (retained, test, forgotten), no batch
     re-validation."""
     model, dataset, ledger, test_rows = _recursive_unlearn_setup()
     if not forgets:
         ledger = SampleLedger(ledger.learned_ids)
-    calls = {"_locate": 0, "_take": 0, "products": 0, "subset_by_ids": 0, "validate": 0}
+    calls = {"_locate": 0, "_scored": 0, "__post_init__": 0}
 
-    def counted(owner, name, key):
+    def counted(owner, name):
         original = getattr(owner, name)
 
         def wrapper(*args):
-            calls[key] += 1
+            calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(EncodedDataset, "_locate", "_locate")
-    counted(EncodedDataset, "_take", "_take")
-    counted(EncodedDataset, "subset_by_ids", "subset_by_ids")
-    counted(verify, "_scored_together", "products")
-    counted(FeatureBatch, "__post_init__", "validate")
+    counted(EncodedDataset, "_locate")
+    counted(verify, "_scored")
+    counted(FeatureBatch, "__post_init__")
     report = gap_report(model, dataset, ledger, test_rows, 6)
     assert report.no_forgotten is not forgets
-    assert calls == {
-        "_locate": 2, "_take": gathers, "products": gathers + 1,
-        "subset_by_ids": 0, "validate": 0,
-    }
+    assert calls == {"_locate": 1 + forgets, "_scored": 2 + forgets, "__post_init__": 0}
