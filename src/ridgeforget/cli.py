@@ -53,8 +53,12 @@ def _derive_extractor_seed(seed: int) -> int:
 
 
 def _encode_dataset(path, extractor, class_count=None):
-    """Load a CSV; raw inputs are pushed through `extractor`."""
-    dataset = load_csv(path, class_count=class_count)
+    """Load a CSV; raw inputs are pushed through `extractor`, which rejects
+    a raw width other than its own before the body is parsed."""
+    dataset = load_csv(
+        path, class_count=class_count,
+        check_raw_width=extractor._check_width if extractor is not None else None,
+    )
     if isinstance(dataset, EncodedDataset):
         return dataset
     if extractor is None:
@@ -131,12 +135,16 @@ def _advance(args, state, encoded, stream, state_path):
 
 
 def _cmd_run(args) -> int:
-    encoded = load_csv(args.data)
+    seed = _derive_extractor_seed(args.seed)
+
+    def check_recipe(width):  # before a too-wide raw body is parsed
+        FeatureExtractor._check_recipe(seed, width, args.feature_dim, args.nonlinearity)
+
+    encoded = load_csv(args.data, check_raw_width=check_recipe)
     extractor = None
     if isinstance(encoded, RawDataset):  # the extractor comes from the run seed
         extractor = FeatureExtractor.from_seed(
-            _derive_extractor_seed(args.seed), encoded.input_dim,
-            args.feature_dim, args.nonlinearity,
+            seed, encoded.input_dim, args.feature_dim, args.nonlinearity
         )
         encoded = encode(extractor, encoded)
     state = EngineState.fresh(

@@ -6,16 +6,20 @@ of the regularized Gram of the retained features.  Adding (s = -1) or
 removing (s = +1) rows F with labels Y is one signed recursion (Golub &
 Van Loan, Matrix Computations, sec. 6.5):
 
-  I - s F T F^T = L L^T   (Cholesky)      G  = L^(-1) F T   (TRSM)
+  I - s F T F^T = L L^T   (Cholesky)      G  = L^(-1) F T   (TRTRI, TRMM)
   T' = T + s G^T G        (SYRK)          W' = W + s T' F^T (F W - Y)
 
 and T' F^T = G^T L^(-1) takes the weight step in O(m^2 c + d m c) without
-reading T' (the gain form of the update; Hager, SIAM Review 1989).
+reading T' (the gain form of the update; Hager, SIAM Review 1989).  G comes
+from the m x m inverse L^(-1): at d = 1024, m = 100, TRTRI and TRMM take
+0.32 ms where a right-side TRSM on the tall (F T)^T takes 0.53 (2-vCPU host).
 
 With at least as many rows as columns the smaller d x d dual form runs:
-T = K K^T, I - s K^T F^T F K = R R^T, T' = M M^T with M = K R^(-T).  T is
+T = K K^T, I - s K^T F^T F K = R R^T, T' = M M^T with M = K R^(-T) by TRSM
+(26 us at d = 64, where TRTRI and TRMM on the square K take 46).  T is
 kept as the one triangle SYRK fills, which every later kernel reads (DSYMM,
-DPOTRF); the full, exactly symmetric matrix is built only when it is read.
+DPOTRF), and the only one a primal update copies from T into T'; the full,
+exactly symmetric matrix is built only when it is read.
 A removal core that fails Cholesky, or whose condition estimate exceeds
 COND_LIMIT, means the rows were not in the tracked Gram.  T' and W' equal
 the joint fit on the survivors to float64 precision.  Validation runs once,
@@ -24,11 +28,11 @@ public TrackingMatrix constructor (also used by state loading).  The row
 invariants (labels in range among them) are written once, in _check_rows,
 batch dimensions once, in _check_batch_dims, and the gamma, seed and
 feature-dimension checks once each; update outputs keep shape and
-finiteness.
-The eight kernels come from scipy's f2py modules _fblas and _flapack, loaded
+finiteness, checked in O(d m) (see TrackingMatrix).
+The nine kernels come from scipy's f2py modules _fblas and _flapack, loaded
 from their files without importing scipy.linalg (or through scipy.linalg
 when that fails).  Importing this module sets every bundled OpenBLAS copy to
-one thread, and numpy's stays there; scipy's, which serves the eight
+one thread, and numpy's stays there; scipy's, which serves the nine
 kernels, runs at the host's count in joint_fit and in updates with
 min(m, d) d^2 >= _THREADED_WORK.
 """
@@ -82,7 +86,7 @@ def _load_kernels():
         folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
         modules = []
         for short, kernels in (
-            ("_fblas", ("dgemm", "dsymm", "dsyrk", "dtrsm")),
+            ("_fblas", ("dgemm", "dsymm", "dsyrk", "dtrmm", "dtrsm")),
             ("_flapack", ("dpotrf", "dpocon", "dpotrs", "dtrtri")),
         ):
             name = "scipy.linalg." + short
@@ -153,6 +157,11 @@ _OPENBLAS = [(get, put, 1 if suffix else get()) for get, put, suffix in _openbla
 # 1.7e7, 1.00-1.03 at dual d = m = 192 (7.1e6), and 0.93-1.17 at m d^2 or d^3
 # <= 2.6e6, where an m d^2 rule would thread 64 x 1024 duals (CHANGES.md).
 _THREADED_WORK = 2**22
+
+# Width of the column panels in which a primal update copies T's lower
+# triangle into T'.  At d = 1024 that took 0.61-0.70 ms for widths 32-256,
+# and copying all of T 0.85-1.05 ms (2-vCPU host).
+_PANEL = 64
 
 
 def _use_host_blas_threads(host: bool):
@@ -240,14 +249,24 @@ class TrackingMatrix:
     Square, symmetric (enforced to SYMMETRY_RTOL), and positive definite
     whenever it tracks a valid retained set.  gamma must equal the paired
     model's gamma.  Updates read only the lower triangle of the Fortran order
-    array `_lower`; the other holds finite values nothing reads (an earlier T,
-    SYRK's zeros).  The full, exactly symmetric `matrix` is built from it on
-    first read.
+    array `_lower`; the other holds values nothing reads, which may be
+    non-finite (an earlier T, SYRK's zeros, or a primal update's fresh
+    memory).  The full, exactly symmetric `matrix` is built from the lower
+    triangle on first read.
+
+    The public constructor and joint_fit check every entry for finiteness;
+    an update checks, in O(d m), the matrix its SYRK consumed (G^T, or M in
+    the dual form) and the diagonal of T'.  That bounds every entry: T is
+    finite by induction, and with g_i the i-th row of G^T a forget gives
+    |T'_ij| <= sqrt(T_ii T_jj) + |g_i||g_j| <= sqrt(T'_ii T'_jj); a learn's
+    G^T G <= T bounds |g_i|^2 by T_ii; the dual M M^T is bounded by its
+    diagonal (Cauchy-Schwarz).  A finite consumed matrix leaves no NaN to
+    spread, and a finite diagonal shows that no product overflowed.
     """
 
     matrix: np.ndarray
     gamma: float
-    # (batch, G^T, L) of the primal update that made this matrix
+    # (batch, G^T, L^(-1)) of the primal update that made this matrix
     _update = None
 
     def __post_init__(self):
@@ -261,20 +280,25 @@ class TrackingMatrix:
             )
 
     @classmethod
-    def _trusted(cls, lower: np.ndarray, gamma: float, update=None) -> "TrackingMatrix":
+    def _trusted(cls, lower, gamma: float, update=None, consumed=None) -> "TrackingMatrix":
         """Wrap a kernel output whose lower triangle holds T, without the copy
-        or the asymmetry norm; `lower` is frozen in place, not copied."""
+        or the asymmetry norm; `lower` is frozen in place, not copied.  Given
+        the matrix its SYRK `consumed`, finiteness is checked in O(d m)."""
         tracking = object.__new__(cls)
-        tracking._seal(lower, gamma)
+        tracking._seal(lower, gamma, consumed)
         object.__setattr__(tracking, "_update", update)
         return tracking
 
-    def _seal(self, lower: np.ndarray, gamma: float):
+    def _seal(self, lower: np.ndarray, gamma: float, consumed=None):
         if lower.shape[0] != lower.shape[1]:
             raise ContractViolation(
                 f"tracking matrix must be square, got {lower.shape}"
             )
-        if not np.isfinite(lower).all():
+        if consumed is None:
+            finite = np.isfinite(lower).all()
+        else:  # the O(d m) check of the class docstring
+            finite = np.isfinite(consumed).all() and np.isfinite(np.diagonal(lower)).all()
+        if not finite:
             raise ContractViolation("tracking matrix must be finite")
         object.__setattr__(self, "_lower", _freeze(lower))
         object.__setattr__(self, "gamma", gamma)
@@ -411,11 +435,12 @@ def _check_pair(tracking: TrackingMatrix, model: AnalyticModel):
         )
 
 
-def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float):
-    """(L, rhs L^(-T)), L L^T = I - s * part factored over the PSD `part`;
-    both inputs are overwritten.  The removal guard anchors the condition
-    estimate at the core's natural scale 1: a core that cancelled down to ~eps
-    is singular even though its own relative conditioning can look perfect."""
+def _core_factor(part: np.ndarray, s: float) -> np.ndarray:
+    """L, L L^T = I - s * part factored over the PSD `part`, in its lower
+    triangle; `part` is overwritten.  The removal guard anchors the
+    condition estimate at the core's natural scale 1: a core that cancelled
+    down to ~eps is singular even though its own relative conditioning can
+    look perfect."""
     part *= -s
     part.flat[:: part.shape[0] + 1] += 1.0
     anorm = np.linalg.norm(part, 1) if s > 0 else None
@@ -431,7 +456,7 @@ def _core_solve(part: np.ndarray, rhs: np.ndarray, s: float):
                 "removal core is singular or ill-conditioned "
                 f"(condition estimate {estimate:.3e})"
             )
-    return factor, blas.dtrsm(1.0, factor, rhs, side=1, lower=1, trans_a=1, overwrite_b=1)
+    return factor
 
 
 def _rank_update(tracking: TrackingMatrix, batch: FeatureBatch, s: float) -> TrackingMatrix:
@@ -447,31 +472,41 @@ def _rank_update(tracking: TrackingMatrix, batch: FeatureBatch, s: float) -> Tra
         if f.shape[0] < f.shape[1]:
             ft_t = blas.dsymm(1.0, t, f.T, lower=1)  # (F T)^T = T F^T
             part = blas.dgemm(1.0, f.T, ft_t, trans_a=1).T  # F T F^T
-            factor, g_t = _core_solve(part, ft_t, s)  # G^T = (F T)^T L^(-T), in place
-            new_t = blas.dsyrk(s, g_t, beta=1.0, c=t.copy("F"), lower=1, overwrite_c=1)
-            update = (batch, g_t, factor)
+            inverse, _ = lapack.dtrtri(_core_factor(part, s), lower=1, overwrite_c=1)
+            consumed = blas.dtrmm(  # G^T = (F T)^T L^(-T), in place
+                1.0, inverse, ft_t, side=1, lower=1, trans_a=1, overwrite_b=1
+            )
+            new_t = np.empty_like(t, order="F")
+            for j in range(0, len(t), _PANEL):  # the lower triangle of T only
+                new_t[j:, j : j + _PANEL] = t[j:, j : j + _PANEL]
+            new_t = blas.dsyrk(s, consumed, beta=1.0, c=new_t, lower=1, overwrite_c=1)
+            update = (batch, consumed, inverse)
         else:  # the d x d system is smaller, and T' = M M^T subtracts nothing
             chol, info = lapack.dpotrf(t, lower=1, clean=1)
             if info != 0:
                 raise StateIntegrityError("tracking matrix is not positive definite")
             f_chol = f @ chol
-            new_t = blas.dsyrk(1.0, _core_solve(f_chol.T @ f_chol, chol, s)[1], lower=1)
+            factor = _core_factor(f_chol.T @ f_chol, s)
+            consumed = blas.dtrsm(  # M = K R^(-T), in place
+                1.0, factor, chol, side=1, lower=1, trans_a=1, overwrite_b=1
+            )
+            new_t = blas.dsyrk(1.0, consumed, lower=1)
     finally:
         if threaded:
             _use_host_blas_threads(False)
-    return TrackingMatrix._trusted(new_t, tracking.gamma, update)
+    return TrackingMatrix._trusted(new_t, tracking.gamma, update, consumed)
 
 
 def _weight_step(model: AnalyticModel, tracking: TrackingMatrix, batch: FeatureBatch, s: float):
     """W' = W + s T' F^T r, r = F W - Y, for the updated T' = tracking.  When
     T' records its update of this same batch, T' F^T r = G^T L^(-1) r comes
-    from that update's G and L; otherwise from one pass over T'."""
+    from that update's G^T and L^(-1); otherwise from one pass over T'."""
     f = batch.features
     r_t = (f @ model.weights - batch.labels).T  # Fortran, so BLAS copies nothing
     update = tracking._update
     if update is not None and update[0] is batch:
-        _, g_t, factor = update
-        lr_t = blas.dtrsm(1.0, factor, r_t, side=1, lower=1, trans_a=1, overwrite_b=1)
+        _, g_t, inverse = update
+        lr_t = blas.dtrmm(1.0, inverse, r_t, side=1, lower=1, trans_a=1, overwrite_b=1)
         step = blas.dgemm(1.0, g_t, lr_t, trans_b=1)  # G^T (L^(-1) r)
     else:
         fr = blas.dgemm(1.0, f.T, r_t, trans_b=1)  # F^T r

@@ -128,6 +128,13 @@ class FeatureExtractor:
             return np.maximum(z, 0.0)
         return z
 
+    def _check_width(self, input_dim: int):
+        if input_dim != self.input_dim:
+            raise ContractViolation(
+                f"dataset input_dim {input_dim} does not match extractor "
+                f"input_dim {self.input_dim}"
+            )
+
     def projection_hash(self) -> str:
         return hashlib.sha256(self.projection.tobytes()).hexdigest()
 
@@ -318,11 +325,8 @@ class EncodedDataset:
 
 def encode(extractor: FeatureExtractor, raw: RawDataset) -> EncodedDataset:
     """Extract every raw row, preserving order, ids, labels and class count."""
-    if raw.input_dim != extractor.input_dim and len(raw) > 0:
-        raise ContractViolation(
-            f"dataset input_dim {raw.input_dim} does not match extractor "
-            f"input_dim {extractor.input_dim}"
-        )
+    if len(raw) > 0:
+        extractor._check_width(raw.input_dim)
     # an empty dataset of any width encodes to no rows
     inputs = raw.inputs.reshape(-1, extractor.input_dim)
     return EncodedDataset(
@@ -353,7 +357,7 @@ def write_csv(path, dataset) -> None:
             )
 
 
-def load_csv(path, class_count: int | None = None):
+def load_csv(path, class_count: int | None = None, check_raw_width=None):
     """Load a dataset CSV; the header's 3rd column picks the mode.
 
     Returns an EncodedDataset for `f`-prefixed columns or a RawDataset for
@@ -365,7 +369,9 @@ def load_csv(path, class_count: int | None = None):
     body through the line parser, which accepts the same inputs and names
     the line of the first bad row, a label beyond MAX_CLASSES included.  A
     line that is not UTF-8, or a field over the csv module's size limit, is
-    an InputError naming its line too.
+    an InputError naming its line too.  A caller that knows the input
+    dimension passes `check_raw_width`, which sees the width of a raw file
+    with a non-blank body before that body is parsed, and raises to reject it.
     """
     with open(path, "rb") as handle:
         lines = handle.read().splitlines(keepends=True)
@@ -406,6 +412,8 @@ def load_csv(path, class_count: int | None = None):
             f"line 1: {width} feature columns exceed MAX_FEATURE_DIM = {MAX_FEATURE_DIM}"
         )
     body = lines[reader.line_num :]
+    if prefix == "x" and check_raw_width is not None and any(map(str.strip, body)):
+        check_raw_width(width)
     # an inferred class count is bounded; the dataset checks a given one
     limit = MAX_CLASSES if class_count is None else 2**63
     ids, labels, values = (

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ridgeforget import StateFormatError, load_state
+from ridgeforget import StateFormatError, load_csv, load_state
 from ridgeforget.cli import main
 from ridgeforget.core import MAX_FEATURE_DIM
 from ridgeforget.features import MAX_PROJECTION_VALUES, MAX_SYNTHETIC_VALUES
@@ -439,6 +439,47 @@ def test_bad_value_exits_1_before_allocating(tmp_path, data_files, capsys, argv,
     assert "Traceback" not in err
     # a d x d float64 matrix at the bound is 128 MiB; the check comes first
     assert peak < 8 * MAX_FEATURE_DIM**2 // 16
+
+
+@pytest.mark.parametrize("command", ["run", "resume", "verify"])
+def test_wrong_raw_width_exits_1_before_the_body_is_parsed(
+    tmp_path, data_files, capsys, command
+):
+    train, test = data_files
+    state = tmp_path / "run.state"
+    run = ("run", "--forget-total", 1, "--requests", 1, "--data")
+    assert run_cli(*run, train, "--feature-dim", 8, "--state", state) == 0
+    # 400 rows of _OVER zero inputs: over the projection bound at the largest
+    # feature_dim, and wider than the 8 inputs the saved extractor takes
+    wide = tmp_path / "wide_raw.csv"
+    header = "id,label," + ",".join(f"x{k}" for k in range(_OVER))
+    wide.write_text(header + "\n" + "".join(f"{r},0{',0' * _OVER}\n" for r in range(400)),
+                    encoding="utf-8")
+    argv, message = {
+        "run": ((*run, wide, "--feature-dim", MAX_FEATURE_DIM),
+                f"input_dim {_OVER} x feature_dim {MAX_FEATURE_DIM} exceeds the "
+                f"{MAX_PROJECTION_VALUES} projection entries"),
+        "resume": (("resume", "--state", state, "--data", wide, "--forget-total", 1,
+                    "--requests", 1),
+                   f"dataset input_dim {_OVER} does not match extractor input_dim 8"),
+        "verify": (("verify", "--state", state, "--data", wide, "--test-data", test),
+                   f"dataset input_dim {_OVER} does not match extractor input_dim 8"),
+    }[command]
+    bound = 3 * wide.stat().st_size  # reading the file holds it about twice
+    capsys.readouterr()
+    peaks = []
+    for call in (lambda: load_csv(wide), lambda: run_cli(*argv)):
+        tracemalloc.start()
+        try:
+            result = call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert result == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    parsed, rejected = peaks
+    assert rejected < bound < parsed
 
 
 def _mutated(rng, blob):

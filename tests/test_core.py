@@ -56,6 +56,13 @@ def test_tracking_rejects_asymmetry():
         TrackingMatrix(bad, 1.0)
 
 
+def test_tracking_rejects_nan_below_the_diagonal():
+    bad = np.eye(3)
+    bad[2, 0] = np.nan
+    with pytest.raises(ContractViolation, match="tracking matrix must be finite"):
+        TrackingMatrix(bad, 1.0)
+
+
 def test_tracking_fresh_is_scaled_identity():
     tracking = TrackingMatrix.fresh(3, 0.5)
     assert np.array_equal(tracking.matrix, np.eye(3) * 2.0)
@@ -239,7 +246,7 @@ def test_import_loads_the_kernels_without_scipy_linalg():
         "import scipy.linalg\n"
         "assert sys.modules['scipy.linalg._fblas'] is core.blas\n"
         "for ours, theirs, names in (\n"
-        "    (core.blas, scipy.linalg.blas, 'dgemm dsymm dsyrk dtrsm'),\n"
+        "    (core.blas, scipy.linalg.blas, 'dgemm dsymm dsyrk dtrmm dtrsm'),\n"
         "    (core.lapack, scipy.linalg.lapack, 'dpotrf dpocon dpotrs dtrtri'),\n"
         "):\n"
         "    for name in names.split():\n"
@@ -475,6 +482,72 @@ def test_unlearn_ill_conditioned_core_raises_through_condition_estimate():
     assert np.array_equal(tracking.matrix, before)
 
 
+@pytest.mark.parametrize("spoiled", ["consumed", "diagonal"])
+@pytest.mark.parametrize("rows", [3, 12], ids=["primal", "dual"])  # feature_dim 6
+@pytest.mark.parametrize("kind", ["learn", "forget"])
+def test_updates_seal_no_nonfinite_tracking_matrix(monkeypatch, kind, rows, spoiled):
+    # after the real SYRK, one non-finite entry goes into the matrix it
+    # consumed (G^T or M) or onto the diagonal of T', leaving the rest finite
+    rng = np.random.default_rng(89)
+    base = rand_batch(rng, 40, 6, 3)
+    model, tracking = joint_fit(base, 0.5)
+    batch = rand_batch(rng, rows, 6, 3, id_start=100)
+    if kind == "forget":
+        batch = permuted(base, rng.choice(40, size=rows, replace=False))
+    dsyrk = core.blas.dsyrk
+
+    def spoiling(alpha, a, **kwargs):
+        out = dsyrk(alpha, a, **kwargs)
+        if spoiled == "consumed":
+            a[-1, 0] = np.inf
+        else:
+            out[2, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(core.blas, "dsyrk", spoiling)
+    with pytest.raises(ContractViolation, match="tracking matrix must be finite"):
+        if kind == "learn":
+            learn_update(tracking, model, batch)
+        else:
+            unlearn_tracking(tracking, batch)
+
+
+@pytest.mark.parametrize(
+    "gamma, scales, bound_t, bound_w",
+    # bounds about 3x the largest errors measured before G^T came from the
+    # core's triangular inverse (a right-side TRSM): 1.8e-6 and 4.9e-9 at
+    # gamma 1e-4, 3.1e-6 and 8.4e-8 at gamma 1e-6
+    [(1e-4, (10.0, 100.0, 300.0), 6e-6, 1.5e-8),
+     (1e-6, (1.0, 10.0, 30.0), 1e-5, 2.5e-7)],
+)
+def test_near_guard_forgets_match_a_dense_inverse(gamma, scales, bound_t, bound_w):
+    # the forgotten rows alone span the last k directions, where the
+    # survivors' Gram has only gamma: the removal core nears singular
+    d, c = 24, 4
+    worst_t = worst_w = 0.0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        k = 1 + seed % 3
+        kept = rng.standard_normal((60, d))
+        kept[:, d - k :] = 0.0
+        gone = rng.standard_normal((6, d))
+        gone[:, d - k :] *= scales[seed % 3]
+        base = FeatureBatch(
+            np.concatenate([kept, gone]), np.eye(c)[rng.integers(0, c, 66)], np.arange(66)
+        )
+        removal_core = np.eye(6) - gone @ gram_inverse_oracle(base.features, gamma) @ gone.T
+        assert 1e6 <= np.linalg.cond(removal_core) <= 1e10
+        model, tracking = joint_fit(base, gamma)
+        forget = permuted(base, np.arange(60, 66))
+        after = unlearn_tracking(tracking, forget)
+        weights = unlearn_model(model, after, forget).weights
+        worst_t = max(worst_t, rel_fro(after.matrix, gram_inverse_oracle(kept, gamma)))
+        want_w = solve_weights_oracle(kept, base.labels[:60], gamma)
+        worst_w = max(worst_w, rel_fro(weights, want_w))
+    assert worst_t <= bound_t
+    assert worst_w <= bound_w
+
+
 @pytest.mark.parametrize("rows", [3, 12])  # below and above feature_dim 6
 def test_update_outputs_are_read_only_and_inputs_untouched(rows):
     rng = np.random.default_rng(67)
@@ -581,11 +654,15 @@ def test_weight_step_paths_agree_with_a_refit(d, m):
 
 def _garbled(tracking, rng):
     """`tracking` rewrapped from a copy of its working array whose unused
-    upper triangle holds wrong finite values."""
+    upper triangle holds wrong values: NaN, +-inf and large finite ones.
+    Sealed as the output of a rank-0 update, whose check reads the diagonal
+    and never the upper triangle."""
     lower = tracking._lower.copy(order="F")
     upper = np.triu_indices(len(lower), 1)
-    lower[upper] = 1e3 * rng.standard_normal(len(upper[0]))
-    return TrackingMatrix._trusted(lower, tracking.gamma)
+    values = 1e3 * rng.standard_normal(len(upper[0]))
+    values[rng.permutation(len(values))[:3]] = [np.nan, np.inf, -np.inf]
+    lower[upper] = values
+    return TrackingMatrix._trusted(lower, tracking.gamma, consumed=lower[:, :0])
 
 
 @pytest.mark.parametrize("m", [5, 30], ids=["primal", "dual"])  # d = 12

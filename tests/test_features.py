@@ -386,6 +386,23 @@ def test_csv_header_selects_mode(tmp_path):
     assert isinstance(loaded, RawDataset)
 
 
+def test_csv_raw_width_check_sees_only_raw_files_with_rows(tmp_path):
+    seen = []
+    path = tmp_path / "data.csv"
+    for text in ("id,label,x0,x1\n0,1,0.5,0.25\n", "id,label,x0,x1,x2\n\n",
+                 "id,label,f0,f1\n0,1,0.5,0.25\n"):
+        path.write_text(text, encoding="utf-8")
+        load_csv(path, check_raw_width=seen.append)
+    assert seen == [2]
+
+    def reject(width):
+        raise InputError(f"width {width}")
+
+    path.write_text("id,label,x0,x1,x2\n0,1,0.5,0.25,oops\n", encoding="utf-8")
+    with pytest.raises(InputError, match="width 3"):  # not the parse error
+        load_csv(path, check_raw_width=reject)
+
+
 def test_csv_parse_errors_use_one_based_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,label,x0\n0,0,1.0\n1,zero,2.0\n", encoding="utf-8")
