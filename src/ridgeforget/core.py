@@ -182,9 +182,14 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _set_fields(instance, **fields):
+    """Set `fields` on a frozen dataclass `instance` and return it; array
+    values are made read-only in place, not copied."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def _check_seed(seed) -> int:
@@ -230,8 +235,7 @@ class AnalyticModel:
         weights = _as_matrix(self.weights, "weights")
         if not np.isfinite(weights).all():
             raise ContractViolation("model weights must be finite")
-        object.__setattr__(self, "weights", _freeze(weights))
-        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
+        _set_fields(self, weights=weights, gamma=_check_gamma(self.gamma))
 
     @property
     def feature_dim(self) -> int:
@@ -270,7 +274,7 @@ class TrackingMatrix:
     _update = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(_as_matrix(self.matrix, "tracking matrix")))
+        _set_fields(self, matrix=_as_matrix(self.matrix, "tracking matrix"))
         self._seal(self.matrix.T, _check_gamma(self.gamma))
         scale = max(float(np.linalg.norm(self.matrix)), 1e-300)
         asym = float(np.linalg.norm(self.matrix - self.matrix.T)) / scale
@@ -284,9 +288,8 @@ class TrackingMatrix:
         """Wrap a kernel output whose lower triangle holds T, without the copy
         or the asymmetry norm; `lower` is frozen in place, not copied.  Given
         the matrix its SYRK `consumed`, finiteness is checked in O(d m)."""
-        tracking = object.__new__(cls)
+        tracking = _set_fields(object.__new__(cls), _update=update)
         tracking._seal(lower, gamma, consumed)
-        object.__setattr__(tracking, "_update", update)
         return tracking
 
     def _seal(self, lower: np.ndarray, gamma: float, consumed=None):
@@ -300,17 +303,15 @@ class TrackingMatrix:
             finite = np.isfinite(consumed).all() and np.isfinite(np.diagonal(lower)).all()
         if not finite:
             raise ContractViolation("tracking matrix must be finite")
-        object.__setattr__(self, "_lower", _freeze(lower))
-        object.__setattr__(self, "gamma", gamma)
+        _set_fields(self, _lower=lower, gamma=gamma)
 
     def __getattr__(self, name):
         # reached only for attributes not yet set: `matrix` of a _trusted T
         if name != "matrix":
             raise AttributeError(name)
         lower = self._lower
-        matrix = _freeze(np.where(np.tri(len(lower), dtype=bool), lower, lower.T))
-        object.__setattr__(self, "matrix", matrix)
-        return matrix
+        tri = np.tri(len(lower), dtype=bool)
+        return _set_fields(self, matrix=np.where(tri, lower, lower.T)).matrix
 
     @property
     def feature_dim(self) -> int:
@@ -384,20 +385,15 @@ class FeatureBatch:
         labels = _as_matrix(self.labels, "labels")
         ids = np.array(self.sample_ids, dtype=np.int64, copy=True).reshape(-1)
         _check_rows(ids, features=features, one_hots=labels)
-        self._seal(features, labels, ids)
+        _set_fields(self, features=features, labels=labels, sample_ids=ids)
 
     @classmethod
     def _trusted(cls, features, labels, sample_ids) -> "FeatureBatch":
         """Wrap the arrays of a validated EncodedDataset, frozen in place:
         rows of a valid dataset are valid, so nothing is copied or checked."""
-        batch = object.__new__(cls)
-        batch._seal(features, labels, sample_ids)
-        return batch
-
-    def _seal(self, features, labels, ids):
-        object.__setattr__(self, "features", _freeze(features))
-        object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "sample_ids", _freeze(ids))
+        return _set_fields(
+            object.__new__(cls), features=features, labels=labels, sample_ids=sample_ids
+        )
 
     def __len__(self) -> int:
         return self.features.shape[0]

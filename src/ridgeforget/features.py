@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import (
     MAX_FEATURE_DIM, FeatureBatch, _as_matrix, _check_feature_dim, _check_rows,
-    _check_seed,
+    _check_seed, _set_fields,
 )
 from .errors import ContractViolation, InputError
 
@@ -78,8 +78,7 @@ class FeatureExtractor:
                 f"projection must be {self.input_dim}x{self.feature_dim}, "
                 f"got {projection.shape}"
             )
-        projection.setflags(write=False)
-        object.__setattr__(self, "projection", projection)
+        _set_fields(self, projection=projection)
 
     @staticmethod
     def _check_recipe(seed, input_dim, feature_dim, nonlinearity):
@@ -153,9 +152,7 @@ class RawDataset:
         inputs = _as_matrix(self.inputs, "inputs")
         labels = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
         _check_rows(ids, inputs, labels=labels, class_count=self.class_count)
-        for name, arr in (("sample_ids", ids), ("inputs", inputs), ("labels", labels)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _set_fields(self, sample_ids=ids, inputs=inputs, labels=labels)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -240,26 +237,17 @@ class EncodedDataset:
         labels = np.array(self.label_indices, dtype=np.int64, copy=True).reshape(-1)
         _check_rows(ids, features=features, labels=labels, class_count=self.class_count)
         one_hots = (labels[:, None] == np.arange(self.class_count)).astype(np.float64)
-        self._seal(ids, features, labels, one_hots)
-
-    def _seal(self, ids, features, labels, one_hots):
-        for name, arr in (
-            ("sample_ids", ids),
-            ("features", features),
-            ("label_indices", labels),
-            ("one_hots", one_hots),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _set_fields(self, sample_ids=ids, features=features, label_indices=labels,
+                    one_hots=one_hots)
 
     @classmethod
     def _trusted(cls, ids, features, labels, one_hots, class_count):
         """Wrap fresh arrays holding rows of a validated dataset, frozen in
         place: rows of a valid dataset are valid, so nothing is re-checked."""
-        dataset = object.__new__(cls)
-        object.__setattr__(dataset, "class_count", class_count)
-        dataset._seal(ids, features, labels, one_hots)
-        return dataset
+        return _set_fields(
+            object.__new__(cls), sample_ids=ids, features=features,
+            label_indices=labels, one_hots=one_hots, class_count=class_count,
+        )
 
     def __len__(self) -> int:
         return self.features.shape[0]

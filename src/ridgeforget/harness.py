@@ -2,11 +2,13 @@
 
 The caller owns the EngineState: a new run starts from EngineState.fresh
 (W = 0, T = (gamma I)^(-1)), a resumed one from load_state, and run_stream
-advances that one state in place.  It absorbs the learn batches in order,
-then processes the forget batches in order, timing only the update calls
-(verification is oracle overhead and is excluded).  The harness adds no
-mathematics of its own: every request is exactly one tracking update plus
-one weight update from the core module.
+advances that one state in place.  Every walk over a stream (validation,
+id replay, execution) goes through RequestStream._requests, which yields
+the learn batches in order, then the forget batches in order; run_stream
+runs them in one loop, timing only the update calls (verification is
+oracle overhead and is excluded).  The harness adds no mathematics of its
+own: every request is exactly one tracking update plus one weight update
+from the core module, looked up as this module's globals at call time.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     _check_gamma,
     _check_pair,
     _check_seed,
+    _set_fields,
     joint_fit,
     learn_update,
     unlearn_model,
@@ -54,21 +57,31 @@ class RequestStream:
     forget_requests: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "learn_requests", tuple(self.learn_requests))
-        object.__setattr__(self, "forget_requests", tuple(self.forget_requests))
+        _set_fields(self, learn_requests=tuple(self.learn_requests),
+                    forget_requests=tuple(self.forget_requests))
 
-    def validate(self, state: EngineState) -> None:
+    def _requests(self):
+        """(kind, 1-based index within its kind, batch) in execution order."""
+        for kind, batches in (("learn", self.learn_requests),
+                              ("forget", self.forget_requests)):
+            for index, batch in enumerate(batches, start=1):
+                yield kind, index, batch
+
+    def validate(self, state: EngineState) -> list:
         """Enforce stream invariants before any request executes: every
         batch has the state's dimensions, and the ids are replayed on a copy
         of the state's ledger, so a resumed state's learned and forgotten
-        ids count too."""
-        for batch in self.learn_requests + self.forget_requests:
+        ids count too.  Returns the retained-row count after each forget
+        request, in order, read off the replayed ledger."""
+        for _, _, batch in self._requests():
             _check_batch_dims(batch, state.model.feature_dim, state.model.class_count)
         replay = state.ledger.copy()
-        for batch in self.learn_requests:
-            replay.record_learn(batch.sample_ids)
-        for batch in self.forget_requests:
-            replay.record_forget(batch.sample_ids)
+        retained = []
+        for kind, _, batch in self._requests():
+            getattr(replay, f"record_{kind}")(batch.sample_ids)
+            if kind == "forget":
+                retained.append(len(replay.learned_ids) - len(replay.forgotten_ids))
+        return retained
 
 
 @dataclass(frozen=True)
@@ -209,26 +222,6 @@ def build_forget_stream(
     )
 
 
-def _check_verifiable(stream, state, verify_every, test_rows) -> None:
-    """Verification's preconditions on a validated stream, checked before any
-    request runs: when some forget request is verified, at least one test
-    row, and a retained row after every verified forget request (the
-    stream's ids are distinct, so counts do)."""
-    if len(stream.forget_requests) < verify_every:
-        return
-    if len(test_rows) == 0:
-        raise InputError("verification requires at least one test row")
-    retained = len(state.ledger.learned_ids) - len(state.ledger.forgotten_ids)
-    retained += sum(len(batch) for batch in stream.learn_requests)
-    for index, batch in enumerate(stream.forget_requests, start=1):
-        retained -= len(batch)
-        if index % verify_every == 0 and retained == 0:
-            raise InputError(
-                f"forget request {index} would leave no retained row, so it "
-                "cannot be verified against a model retrained on the rest"
-            )
-
-
 def run_stream(
     stream: RequestStream,
     state: EngineState,
@@ -243,48 +236,44 @@ def run_stream(
     Returns (RunRecord, state).  When verify_every = v > 0, a gap report
     against the retrained oracle is attached to every v-th forget request
     (requires `dataset`, at least one test row and a retained row after
-    each verified request, all checked before the first request runs).
-    Wall time covers only the tracking/weight update calls.  A failing
-    request aborts the run with its index; `state` stays at the last
-    completed request.
+    each verified request, all checked, from the counts validate returns,
+    before the first request runs).  Wall time covers only the
+    tracking/weight update calls.  A failing request aborts the run with
+    its kind and index; `state` stays at the last completed request.
     """
     if verify_every < 0:
         raise InputError(f"verify_every must be >= 0, got {verify_every}")
     if verify_every > 0 and (dataset is None or test_rows is None):
         raise InputError("verification requires dataset and test_rows")
-    stream.validate(state)
-    if verify_every > 0:
-        _check_verifiable(stream, state, verify_every, test_rows)
+    retained = stream.validate(state)
+    verified = retained[verify_every - 1 :: verify_every] if verify_every else []
+    if verified and len(test_rows) == 0:
+        raise InputError("verification requires at least one test row")
+    if 0 in verified:
+        raise InputError(
+            f"forget request {(verified.index(0) + 1) * verify_every} would leave "
+            "no retained row, so it cannot be verified against a model retrained "
+            "on the rest"
+        )
 
     record = RunRecord()
-
-    for index, batch in enumerate(stream.learn_requests, start=1):
+    for kind, index, batch in stream._requests():
         try:
             start = time.perf_counter()
-            new_tracking, new_model = learn_update(state.tracking, state.model, batch)
+            if kind == "learn":
+                new_tracking, new_model = learn_update(state.tracking, state.model, batch)
+            else:
+                new_tracking = unlearn_tracking(state.tracking, batch)
+                new_model = unlearn_model(state.model, new_tracking, batch)
             elapsed = time.perf_counter() - start
-            state.ledger.record_learn(batch.sample_ids)
+            getattr(state.ledger, f"record_{kind}")(batch.sample_ids)
         except RidgeForgetError as exc:
-            raise RunAbortedError("learn", index, exc) from exc
-        state.tracking, state.model = new_tracking, new_model
-        record.per_request.append(RequestRecord("learn", index, len(batch), elapsed))
-
-    for index, batch in enumerate(stream.forget_requests, start=1):
-        try:
-            start = time.perf_counter()
-            new_tracking = unlearn_tracking(state.tracking, batch)
-            new_model = unlearn_model(state.model, new_tracking, batch)
-            elapsed = time.perf_counter() - start
-            state.ledger.record_forget(batch.sample_ids)
-        except RidgeForgetError as exc:
-            raise RunAbortedError("forget", index, exc) from exc
+            raise RunAbortedError(kind, index, exc) from exc
         state.tracking, state.model = new_tracking, new_model
         report = None
-        if verify_every > 0 and index % verify_every == 0:
+        if kind == "forget" and verify_every > 0 and index % verify_every == 0:
             report = gap_report(state.model, dataset, state.ledger, test_rows, index)
-        record.per_request.append(
-            RequestRecord("forget", index, len(batch), elapsed, report)
-        )
+        record.per_request.append(RequestRecord(kind, index, len(batch), elapsed, report))
 
     return record, state
 

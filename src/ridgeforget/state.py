@@ -15,8 +15,11 @@ W, T, the ledger, and the extractor recipe bit-for-bit.  A bad magic,
 truncated payload, checksum mismatch, a header in any other form than the
 one save_state writes, or a header value no valid state holds raises
 IntegrityError without exposing partial state; an unknown format_version
-raises VersionError.  The checksum does not cover the header, so a header
-value replaced by another valid one (gamma, the extractor's seed) loads.
+raises VersionError.  Each id array must be strictly increasing, as
+save_state writes it, and the forgotten ids a subset of the learned ones,
+so a header that shifts ids between the two counts is rejected too.  The
+checksum does not cover the header, so a header value replaced by another
+valid one (gamma, the extractor's seed) loads.
 """
 
 from __future__ import annotations
@@ -146,6 +149,8 @@ def load_state(path) -> EngineState:
         forgotten_count = int(header["forgotten_count"])
         checksum = header["payload_checksum"]
         extractor_info = header["extractor"]
+        if learned_count < 0 or forgotten_count < 0:
+            raise IntegrityError(f"{path}: negative id count")
         expected_len = 8 * (d_f * d_c + d_f * d_f + learned_count + forgotten_count)
         if len(payload) != expected_len:
             raise IntegrityError(
@@ -157,6 +162,10 @@ def load_state(path) -> EngineState:
         tracking = take(d_f * d_f, "<f8").reshape(d_f, d_f)
         learned = take(learned_count, "<i8")
         forgotten = take(forgotten_count, "<i8")
+        # save_state writes each id set sorted: ids shifted between the two
+        # counts leave an array out of order or forgotten ids never learned
+        if (np.diff(learned) <= 0).any() or (np.diff(forgotten) <= 0).any():
+            raise IntegrityError(f"{path}: id arrays are not strictly increasing")
         extractor = None
         if extractor_info is not None:
             extractor = FeatureExtractor.from_seed(

@@ -7,6 +7,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from ridgeforget import EncodedDataset, EngineState, build_stream, harness, run_stream
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -84,3 +88,38 @@ def test_every_package_name_the_benchmark_calls_resolves():
         if not hasattr(importlib.import_module(modules[alias]), attr)
     ]
     assert not missing, f"package names the benchmark calls not found: {missing}"
+
+
+def test_run_stream_calls_the_hooked_names_in_execution_order(monkeypatch):
+    """RequestClock and the tracer replace these module globals of
+    ridgeforget.harness while a run is going; run_stream must look them up
+    at call time, once per request, in the order the requests run."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            # every update takes its batch last; gap_report, the forget index
+            last = args[-1]
+            calls.append((name, last if name == "gap_report" else int(last.sample_ids[0])))
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("learn_update", "unlearn_tracking", "unlearn_model", "gap_report"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    rng = np.random.default_rng(5)
+    dataset = EncodedDataset(np.arange(12), rng.standard_normal((12, 4)),
+                             rng.integers(0, 3, 12), 3)
+    stream = build_stream(dataset, 2, 6, 3, seed=1)
+    record, _ = run_stream(stream, EngineState.fresh(4, 3, 1.0), verify_every=1,
+                           dataset=dataset, test_rows=dataset)
+
+    expected = [("learn_update", int(b.sample_ids[0])) for b in stream.learn_requests]
+    for index, batch in enumerate(stream.forget_requests, start=1):
+        first = int(batch.sample_ids[0])
+        expected += [("unlearn_tracking", first), ("unlearn_model", first),
+                     ("gap_report", index)]
+    assert calls == expected
+    assert [(r.kind, r.request_index) for r in record.per_request] == [
+        ("learn", 1), ("learn", 2), ("forget", 1), ("forget", 2), ("forget", 3)
+    ]

@@ -209,6 +209,23 @@ def test_stream_dims_must_match_the_state():
     with pytest.raises(ContractViolation, match="batch feature dim 4 does not match 3"):
         run_stream(stream, state)
     assert state.ledger.learned_ids == set()
+    # every batch's dimensions are checked before any id is replayed, so a
+    # wide batch is reported even after a forget batch that was never learned
+    learned = rand_batch(rng, 6, 3, 2)
+    alien = rand_batch(rng, 2, 3, 2, id_start=999)
+    wide = rand_batch(rng, 2, 4, 2, id_start=50)
+    for stream in (RequestStream((learned, wide), (alien,)),
+                   RequestStream((learned,), (alien, wide))):
+        with pytest.raises(ContractViolation, match="batch feature dim 4 does not match 3"):
+            run_stream(stream, state)
+    assert state.ledger.learned_ids == set()
+    # validate returns the retained-row count after each forget request,
+    # counting a resumed state's ledger, and leaves that ledger as it was
+    stream = RequestStream((learned,), (permuted(learned, [0, 1]), permuted(learned, [2])))
+    assert stream.validate(state) == [4, 3]
+    resumed = EngineState(state.model, state.tracking, SampleLedger(set(range(6)), {5}))
+    assert RequestStream((), (permuted(learned, [0, 1]),)).validate(resumed) == [3]
+    assert resumed.ledger.forgotten_ids == {5}
 
 
 def test_overlapping_forget_requests_rejected():
@@ -323,6 +340,15 @@ def test_unverifiable_stream_rejected_before_any_request(
     assert state.model is model
     assert state.ledger.learned_ids == ledger.learned_ids
     assert state.ledger.forgotten_ids == ledger.forgotten_ids
+
+
+def test_unverifiable_request_is_named_by_its_index_among_forgets():
+    dataset = make_dataset(np.random.default_rng(43), 12, 4, 3)
+    stream = build_stream(dataset, 2, 12, 4, seed=3)
+    # requests 2 and 4 are verified; request 4 empties the ledger
+    with pytest.raises(InputError, match="forget request 4 would leave no retained row"):
+        run_stream(stream, EngineState.fresh(4, 3, 1.0), verify_every=2,
+                   dataset=dataset, test_rows=dataset)
 
 
 def test_unverified_request_may_forget_every_row():

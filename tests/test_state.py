@@ -141,12 +141,18 @@ def test_unknown_version_is_version_error(tmp_path):
      (lambda h: h["extractor"].update(feature_dim=7), None),
      (lambda h: h["extractor"].update(input_dim=10**15), None),
      (lambda h: h.update(checksum_algorithm="md5"), None),
-     (lambda h: None, 1)],
+     (lambda h: None, 1),
+     # the payload's ids stay put: the counts say which are learned
+     (lambda h: h.update(learned_count=66, forgotten_count=0), None),
+     (lambda h: h.update(learned_count=51, forgotten_count=15), None),
+     (lambda h: h.update(learned_count=-1, forgotten_count=67), None)],
     ids=["extractor-without-input-dim", "extractor-not-an-object",
          "unknown-nonlinearity", "negative-extractor-seed", "negative-gamma",
          "extractor-dim-off-the-model", "extractor-input-dim-over-bound",
          "unknown-checksum-algorithm",
-         "header-in-another-json-form"],
+         "header-in-another-json-form",
+         "forgotten-ids-counted-as-learned", "one-forgotten-id-counted-as-learned",
+         "negative-id-count"],
 )
 def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, indent):
     _, _, state = run_to_state()
