@@ -17,9 +17,9 @@ from the m x m inverse L^(-1): at d = 1024, m = 100, TRTRI and TRMM take
 With at least as many rows as columns the smaller d x d dual form runs:
 T = K K^T, I - s K^T F^T F K = R R^T, T' = M M^T with M = K R^(-T) by TRSM
 (26 us at d = 64, where TRTRI and TRMM on the square K take 46).  T is
-kept as the one triangle SYRK fills, which every later kernel reads (DSYMM,
-DPOTRF), and the only one a primal update copies from T into T'; the full,
-exactly symmetric matrix is built only when it is read.
+kept as the lower triangle SYRK (POTRI in joint_fit) fills, which every
+later kernel reads (DSYMM, DPOTRF), and the only one a primal update copies
+from T into T'; the full, exactly symmetric matrix is built only when read.
 A removal core that fails Cholesky, or whose condition estimate exceeds
 COND_LIMIT, means the rows were not in the tracked Gram.  T' and W' equal
 the joint fit on the survivors to float64 precision.  Validation runs once,
@@ -29,12 +29,13 @@ invariants (labels in range among them) are written once, in _check_rows,
 batch dimensions once, in _check_batch_dims, and the gamma, seed and
 feature-dimension checks once each; update outputs keep shape and
 finiteness, checked in O(d m) (see TrackingMatrix).
-The nine kernels come from scipy's f2py modules _fblas and _flapack, loaded
+The ten kernels come from scipy's f2py modules _fblas and _flapack, loaded
 from their files without importing scipy.linalg (or through scipy.linalg
 when that fails).  Importing this module sets every bundled OpenBLAS copy to
-one thread, and numpy's stays there; scipy's, which serves the nine
-kernels, runs at the host's count in joint_fit and in updates with
-min(m, d) d^2 >= _THREADED_WORK.
+one thread, and numpy's stays there; scipy's, which serves the ten kernels,
+runs at the host's count in joint_fit's Gram SYRK, POTRF and POTRS, in its
+POTRI when d^3 >= _THREADED_WORK, and in updates with min(m, d) d^2 >=
+_THREADED_WORK.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _load_kernels():
         modules = []
         for short, kernels in (
             ("_fblas", ("dgemm", "dsymm", "dsyrk", "dtrmm", "dtrsm")),
-            ("_flapack", ("dpotrf", "dpocon", "dpotrs", "dtrtri")),
+            ("_flapack", ("dpotrf", "dpocon", "dpotri", "dpotrs", "dtrtri")),
         ):
             name = "scipy.linalg." + short
             module = sys.modules.get(name)
@@ -340,7 +341,9 @@ def _check_rows(
             raise ContractViolation(
                 f"row counts disagree: {len(column)} rows for {n} ids"
             )
-    if np.unique(ids).size != n:
+    # sorted: numpy 2.4's np.unique hashes int64 ids, 22x slower at 10,000
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ContractViolation("sample ids must be distinct")
     if (ids < 0).any():
         raise ContractViolation("sample ids must be non-negative")
@@ -517,11 +520,13 @@ def joint_fit(batch: FeatureBatch, gamma: float):
       weights  = (F^T F + gamma I)^(-1) F^T Y
       tracking = (F^T F + gamma I)^(-1)
     the unique global minimizer of the module's objective over the batch.
+    The Gram is factored and inverted in its own buffer (POTRF, POTRI), so
+    a fit holds its batch plus one d x d matrix.
     """
     gamma = _check_gamma(gamma)
     # F^T Y on one thread: threaded, it averaged 7 ms against 0.6 at N=3000,
     # d=64; scipy's dgemm takes 20 ms to numpy's 43 at N=10,000, d=1024
-    rhs = blas.dgemm(1.0, batch.features.T, batch.labels)
+    rhs = blas.dgemm(1.0, batch.features.T, batch.labels.T, trans_b=1)
     _use_host_blas_threads(True)
     try:
         gram = blas.dsyrk(1.0, batch.features.T, lower=1)
@@ -532,9 +537,11 @@ def joint_fit(batch: FeatureBatch, gamma: float):
                 f"regularized Gram failed to factorize (info {info})"
             )
         weights, _ = lapack.dpotrs(factor, rhs, lower=1)
-        inv_factor, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
-        # T = L^(-T) L^(-1) by SYRK; dpotri's dlauum stalls for ms at small d
-        inverse = blas.dsyrk(1.0, inv_factor, trans=1, lower=1)
+        # threaded by the updates' rule: at d = 64 it took 0.072 ms median and
+        # 128 at worst in 50 calls threaded, 0.047 ms on one thread; at
+        # d = 1024, 14 ms threaded against 29 (2-vCPU host)
+        _use_host_blas_threads(batch.feature_dim**3 >= _THREADED_WORK)
+        inverse, _ = lapack.dpotri(factor, lower=1, overwrite_c=1)  # in place
     finally:
         _use_host_blas_threads(False)
     tracking = TrackingMatrix._trusted(inverse, gamma)

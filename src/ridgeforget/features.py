@@ -345,6 +345,21 @@ def write_csv(path, dataset) -> None:
             )
 
 
+def _decoded_lines(handle):
+    """The lines of the binary file `handle`, split as bytes.splitlines
+    splits them and decoded as they are read; a line that is not UTF-8 is an
+    InputError naming it."""
+    pieces = (piece for chunk in handle for piece in chunk.splitlines(keepends=True))
+    for number, line in enumerate(pieces, start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"line {number}: not valid UTF-8 "
+                f"(byte {exc.start + 1} of the line: {exc.reason})"
+            ) from exc
+
+
 def load_csv(path, class_count: int | None = None, check_raw_width=None):
     """Load a dataset CSV; the header's 3rd column picks the mode.
 
@@ -352,56 +367,56 @@ def load_csv(path, class_count: int | None = None, check_raw_width=None):
     `x`-prefixed ones.  class_count defaults to max(label) + 1, and then
     every label must be below MAX_CLASSES; against a given class_count the
     dataset checks each label, naming the sample id of one out of range.
-    The body is parsed in one
-    np.loadtxt pass; any row that pass cannot take as-is sends the whole
+    The header is read and checked before the body.  The body is parsed in
+    one np.loadtxt pass; any row that pass cannot take as-is sends the whole
     body through the line parser, which accepts the same inputs and names
     the line of the first bad row, a label beyond MAX_CLASSES included.  A
     line that is not UTF-8, or a field over the csv module's size limit, is
     an InputError naming its line too.  A caller that knows the input
     dimension passes `check_raw_width`, which sees the width of a raw file
-    with a non-blank body before that body is parsed, and raises to reject it.
+    with a non-blank body before the rest of that body is read, and raises
+    to reject it.
     """
     with open(path, "rb") as handle:
-        lines = handle.read().splitlines(keepends=True)
-    for index, line in enumerate(lines):
+        lines = _decoded_lines(handle)
+        reader = csv.reader(lines)
         try:
-            lines[index] = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
+            header = next(reader)
+        except StopIteration:
+            raise InputError("line 1: file is empty, expected a header row")
+        except csv.Error as exc:
+            raise InputError(f"line {reader.line_num}: {exc}") from exc
+        header = [h.strip() for h in header]
+        if len(header) < 3 or header[0] != "id" or header[1] != "label":
             raise InputError(
-                f"line {index + 1}: not valid UTF-8 "
-                f"(byte {exc.start + 1} of the line: {exc.reason})"
-            ) from exc
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("line 1: file is empty, expected a header row")
-    except csv.Error as exc:
-        raise InputError(f"line {reader.line_num}: {exc}") from exc
-    header = [h.strip() for h in header]
-    if len(header) < 3 or header[0] != "id" or header[1] != "label":
-        raise InputError(
-            "line 1: header must start with 'id,label' followed by "
-            "f0..f{d-1} or x0..x{m-1}"
-        )
-    prefix = header[2][:1]
-    if prefix not in ("f", "x"):
-        raise InputError(
-            f"line 1: data columns must start with 'f' or 'x', got {header[2]!r}"
-        )
-    width = len(header) - 2
-    expected = [f"{prefix}{k}" for k in range(width)]
-    if header[2:] != expected:
-        raise InputError(
-            f"line 1: data columns must be exactly {prefix}0..{prefix}{width - 1}"
-        )
-    if prefix == "f" and width > MAX_FEATURE_DIM:
-        raise InputError(
-            f"line 1: {width} feature columns exceed MAX_FEATURE_DIM = {MAX_FEATURE_DIM}"
-        )
-    body = lines[reader.line_num :]
-    if prefix == "x" and check_raw_width is not None and any(map(str.strip, body)):
-        check_raw_width(width)
+                "line 1: header must start with 'id,label' followed by "
+                "f0..f{d-1} or x0..x{m-1}"
+            )
+        prefix = header[2][:1]
+        if prefix not in ("f", "x"):
+            raise InputError(
+                f"line 1: data columns must start with 'f' or 'x', got {header[2]!r}"
+            )
+        width = len(header) - 2
+        expected = [f"{prefix}{k}" for k in range(width)]
+        if header[2:] != expected:
+            raise InputError(
+                f"line 1: data columns must be exactly {prefix}0..{prefix}{width - 1}"
+            )
+        if prefix == "f" and width > MAX_FEATURE_DIM:
+            raise InputError(
+                f"line 1: {width} feature columns exceed MAX_FEATURE_DIM = {MAX_FEATURE_DIM}"
+            )
+        # the lines after the header record, read up to the first non-blank
+        # one before check_raw_width sees the width
+        body = []
+        if prefix == "x" and check_raw_width is not None:
+            for line in lines:
+                body.append(line)
+                if line.strip():
+                    check_raw_width(width)
+                    break
+        body += lines
     # an inferred class count is bounded; the dataset checks a given one
     limit = MAX_CLASSES if class_count is None else 2**63
     ids, labels, values = (
@@ -443,11 +458,9 @@ def _parse_body(body: list, width: int, label_limit: int):
     except (ValueError, OverflowError):
         return None
     ids, labels = parsed["id"], parsed["label"]
-    if (
-        (ids < 0).any()
-        or ((labels < 0) | (labels >= label_limit)).any()
-        or np.unique(ids).size != ids.size
-    ):
+    try:  # the line parser names the line of a bad id or label
+        _check_rows(ids, labels=labels, class_count=label_limit)
+    except (ContractViolation, InputError):
         return None
     return ids, labels, parsed["values"]
 

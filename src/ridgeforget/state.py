@@ -43,17 +43,6 @@ FORMAT_VERSION = 1
 CHECKSUM_ALGORITHM = "sha256"
 
 
-def _payload_bytes(state: EngineState, learned: np.ndarray, forgotten: np.ndarray):
-    return b"".join(
-        [
-            state.model.weights.astype("<f8").tobytes(),
-            state.tracking.matrix.astype("<f8").tobytes(),
-            learned.astype("<i8").tobytes(),
-            forgotten.astype("<i8").tobytes(),
-        ]
-    )
-
-
 def save_state(state: EngineState, path) -> None:
     """Write `state` to `path` in the versioned checksummed container.
 
@@ -63,7 +52,19 @@ def save_state(state: EngineState, path) -> None:
     after the rename, so that the rename itself survives a power cut."""
     learned = np.array(sorted(state.ledger.learned_ids), dtype=np.int64)
     forgotten = np.array(sorted(state.ledger.forgotten_ids), dtype=np.int64)
-    payload = _payload_bytes(state, learned, forgotten)
+    # byte views of the payload's pieces, hashed and written in turn: no
+    # copy of T is made (the arrays are C order; "<" is the native order on
+    # little-endian hosts)
+    pieces = [
+        memoryview(np.ascontiguousarray(array, dtype=dtype)).cast("B")
+        for array, dtype in (
+            (state.model.weights, "<f8"), (state.tracking.matrix, "<f8"),
+            (learned, "<i8"), (forgotten, "<i8"),
+        )
+    ]
+    checksum = hashlib.sha256()
+    for piece in pieces:
+        checksum.update(piece)
     extractor = None
     if state.extractor is not None:
         extractor = {
@@ -81,7 +82,7 @@ def save_state(state: EngineState, path) -> None:
         "learned_count": int(learned.size),
         "forgotten_count": int(forgotten.size),
         "checksum_algorithm": CHECKSUM_ALGORITHM,
-        "payload_checksum": hashlib.sha256(payload).hexdigest(),
+        "payload_checksum": checksum.hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     path = os.fspath(path)
@@ -91,7 +92,8 @@ def save_state(state: EngineState, path) -> None:
     try:
         with open(temp, "wb") as handle:
             handle.write(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes)
-            handle.write(payload)
+            for piece in pieces:
+                handle.write(piece)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)

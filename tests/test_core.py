@@ -2,6 +2,7 @@ import importlib.machinery
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +123,29 @@ def test_joint_fit_single_sample_hand_values():
 
 def test_joint_fit_matches_dense_solve():
     rng = np.random.default_rng(11)
-    batch = rand_batch(rng, 50, 8, 3)
-    model, tracking = joint_fit(batch, 0.3)
-    want_w = solve_weights_oracle(batch.features, batch.labels, 0.3)
-    want_t = gram_inverse_oracle(batch.features, 0.3)
-    assert rel_fro(model.weights, want_w) <= 1e-10
-    assert rel_fro(tracking.matrix, want_t) <= 1e-10
+    # d = 192 inverts the Gram threaded (d^3 >= _THREADED_WORK), d = 8 not
+    for n, d in ((50, 8), (400, 192)):
+        batch = rand_batch(rng, n, d, 3)
+        model, tracking = joint_fit(batch, 0.3)
+        want_w = solve_weights_oracle(batch.features, batch.labels, 0.3)
+        want_t = gram_inverse_oracle(batch.features, 0.3)
+        assert rel_fro(model.weights, want_w) <= 1e-10
+        assert rel_fro(tracking.matrix, want_t) <= 1e-10
+
+
+def test_joint_fit_holds_one_d_by_d_matrix():
+    batch = rand_batch(np.random.default_rng(12), 600, 256, 10)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fitted = joint_fit(batch, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    # T, the weights and a d x d finiteness mask; a second d x d matrix,
+    # such as a triangular inverse beside the factor, reads above 2
+    assert peak <= 1.3 * 8 * 256**2
+    assert rel_fro(fitted[1].matrix, gram_inverse_oracle(batch.features, 1e-3)) <= 1e-10
 
 
 def test_joint_fit_rejects_bad_gamma_and_nonfinite():
@@ -167,6 +185,26 @@ def test_blas_runs_one_thread_outside_joint_fit(monkeypatch):
     monkeypatch.setattr(core.blas, "dsyrk", failing)
     with pytest.raises(MemoryError):
         joint_fit(rand_batch(np.random.default_rng(5), 40, 6, 3), 0.5)
+    assert [get() for get, _, _ in copies] == [1] * len(copies)
+
+
+def test_joint_fit_inverts_threaded_from_the_update_work_bound(monkeypatch):
+    copies = core._OPENBLAS
+    if not copies:
+        pytest.skip("no bundled OpenBLAS copy is loaded")
+    host = [count for _, _, count in copies]
+    seen = []
+    dpotri = core.lapack.dpotri
+
+    def observed(*args, **kwargs):
+        seen.append([get() for get, _, _ in copies])
+        return dpotri(*args, **kwargs)
+
+    monkeypatch.setattr(core.lapack, "dpotri", observed)
+    rng = np.random.default_rng(13)
+    for d in (6, 64, 192):
+        joint_fit(rand_batch(rng, 2 * d, d, 3), 0.5)
+    assert seen == [[1] * len(copies), [1] * len(copies), host]
     assert [get() for get, _, _ in copies] == [1] * len(copies)
 
 
@@ -247,7 +285,7 @@ def test_import_loads_the_kernels_without_scipy_linalg():
         "assert sys.modules['scipy.linalg._fblas'] is core.blas\n"
         "for ours, theirs, names in (\n"
         "    (core.blas, scipy.linalg.blas, 'dgemm dsymm dsyrk dtrmm dtrsm'),\n"
-        "    (core.lapack, scipy.linalg.lapack, 'dpotrf dpocon dpotrs dtrtri'),\n"
+        "    (core.lapack, scipy.linalg.lapack, 'dpotrf dpocon dpotri dpotrs dtrtri'),\n"
         "):\n"
         "    for name in names.split():\n"
         "        assert getattr(ours, name) is getattr(theirs, name), name\n"

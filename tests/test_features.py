@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -482,6 +483,22 @@ def test_feature_csv_width_is_bounded_at_its_header(tmp_path):
     write(features.MAX_FEATURE_DIM + 1)
     with pytest.raises(InputError, match=rf"line 1: {features.MAX_FEATURE_DIM + 1} feature"):
         load_csv(path)
+
+
+def test_csv_header_error_comes_before_the_body_is_read(tmp_path):
+    path = tmp_path / "lbl.csv"
+    header = "id,lbl," + ",".join(f"x{k}" for k in range(64))
+    row = ",0.123456789" * 64
+    path.write_text(header + "\n" + "".join(f"{r},0{row}\n" for r in range(2000)),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="line 1: header must start with 'id,label'"):
+            load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * path.stat().st_size
 
 
 def test_csv_with_a_non_utf8_byte_names_its_line(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -12,8 +13,10 @@ from ridgeforget import (
     FeatureExtractor,
     IntegrityError,
     RequestStream,
+    SampleLedger,
     VersionError,
     build_stream,
+    joint_fit,
     load_state,
     run_stream,
     save_state,
@@ -21,7 +24,7 @@ from ridgeforget import (
 from ridgeforget import state as state_module
 from ridgeforget.cli import main
 from ridgeforget.state import MAGIC
-from _helpers import fresh_state
+from _helpers import fresh_state, rand_batch
 from test_harness import make_dataset
 
 
@@ -181,6 +184,39 @@ def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, i
     assert capsys.readouterr().err.startswith("error: ")
     # the header is checked before anything it sizes is drawn
     assert peak < 1 << 23
+
+
+def test_save_writes_the_payload_without_copying_t(tmp_path):
+    rng = np.random.default_rng(17)
+    model, tracking = joint_fit(rand_batch(rng, 600, 512, 3), 1e-3)
+    forgotten = set(range(0, 600, 7))
+    state = EngineState(model, tracking, SampleLedger(set(range(600)), forgotten),
+                        FeatureExtractor.from_seed(3, 4, 512))
+    t_bytes = tracking.matrix.nbytes  # built and kept before the save
+    path = tmp_path / "wide.state"
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        save_state(state, path)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * t_bytes
+    pieces = [
+        model.weights.astype("<f8").tobytes(),
+        tracking.matrix.astype("<f8").tobytes(),
+        np.arange(600, dtype="<i8").tobytes(),
+        np.array(sorted(forgotten), dtype="<i8").tobytes(),
+    ]
+    header = json.dumps({
+        "format_version": 1, "gamma": 1e-3, "feature_dim": 512, "class_count": 3,
+        "extractor": {"seed": 3, "input_dim": 4, "feature_dim": 512, "nonlinearity": "relu"},
+        "learned_count": 600, "forgotten_count": len(forgotten),
+        "checksum_algorithm": "sha256",
+        "payload_checksum": hashlib.sha256(b"".join(pieces)).hexdigest(),
+    }, sort_keys=True).encode("utf-8")
+    want = MAGIC + struct.pack("<I", len(header)) + header + b"".join(pieces)
+    assert path.read_bytes() == want
 
 
 def test_state_without_extractor_round_trips(tmp_path):
