@@ -30,8 +30,8 @@ batch dimensions once, in _check_batch_dims, and the gamma, seed and
 feature-dimension checks once each; update outputs keep shape and
 finiteness, checked in O(d m) (see TrackingMatrix).
 The ten kernels come from scipy's f2py modules _fblas and _flapack, loaded
-from their files without importing scipy.linalg (or through scipy.linalg
-when that fails).  Importing this module sets every bundled OpenBLAS copy to
+from their files without importing scipy (or through scipy.linalg when
+that fails).  Importing this module sets every bundled OpenBLAS copy to
 one thread, and numpy's stays there; scipy's, which serves the ten kernels,
 runs at the host's count in joint_fit's Gram SYRK, POTRF and POTRS, in its
 POTRI when d^3 >= _THREADED_WORK, and in updates with min(m, d) d^2 >=
@@ -78,13 +78,12 @@ MAX_FEATURE_DIM = 2**12
 def _load_kernels():
     """(blas, lapack): scipy's modules scipy.linalg._fblas and _flapack, each
     loaded from its file under its own name and registered in sys.modules,
-    so a later `import scipy.linalg` reuses them.  Importing scipy.linalg
-    itself costs ~0.3 s (mostly its array-API shim, which imports
-    numpy.f2py); any failure to find or load the files falls back to it."""
+    so a later `import scipy.linalg` reuses them.  scipy is found, not
+    imported: scipy.linalg costs ~0.3 s (mostly numpy.f2py), and scipy's
+    __init__ imports subprocess.  Any failure falls back to scipy.linalg."""
     try:
-        import scipy
-
-        folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        origin = importlib.util.find_spec("scipy").origin
+        folder = os.path.join(os.path.dirname(origin), "linalg")
         modules = []
         for short, kernels in (
             ("_fblas", ("dgemm", "dsymm", "dsyrk", "dtrmm", "dtrsm")),
@@ -313,6 +312,15 @@ class TrackingMatrix:
         lower = self._lower
         tri = np.tri(len(lower), dtype=bool)
         return _set_fields(self, matrix=np.where(tri, lower, lower.T)).matrix
+
+    def _row_blocks(self, rows: int):
+        """The rows of `matrix`, `rows` at a time, each block mirrored from
+        the lower triangle as `matrix` is, without building the full matrix."""
+        lower = self._lower
+        for start in range(0, len(lower), rows):
+            upper = lower[:, start : start + rows].T
+            below = np.tri(*upper.shape, start, dtype=bool)
+            yield np.where(below, lower[start : start + rows], upper)
 
     @property
     def feature_dim(self) -> int:

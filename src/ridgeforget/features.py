@@ -26,7 +26,6 @@ a whole dataset in one product.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,9 +132,6 @@ class FeatureExtractor:
                 f"dataset input_dim {input_dim} does not match extractor "
                 f"input_dim {self.input_dim}"
             )
-
-    def projection_hash(self) -> str:
-        return hashlib.sha256(self.projection.tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -303,13 +299,6 @@ class EncodedDataset:
     def to_batch(self) -> FeatureBatch:
         return FeatureBatch._trusted(self.features, self.one_hots, self.sample_ids)
 
-    def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(str(self.class_count).encode())
-        for arr in (self.sample_ids, self.features, self.label_indices):
-            digest.update(arr.tobytes())
-        return digest.hexdigest()
-
 
 def encode(extractor: FeatureExtractor, raw: RawDataset) -> EncodedDataset:
     """Extract every raw row, preserving order, ids, labels and class count."""
@@ -386,6 +375,7 @@ def load_csv(path, class_count: int | None = None, check_raw_width=None):
             raise InputError("line 1: file is empty, expected a header row")
         except csv.Error as exc:
             raise InputError(f"line {reader.line_num}: {exc}") from exc
+        header_lines = reader.line_num  # a quoted field may span lines
         header = [h.strip() for h in header]
         if len(header) < 3 or header[0] != "id" or header[1] != "label":
             raise InputError(
@@ -420,7 +410,8 @@ def load_csv(path, class_count: int | None = None, check_raw_width=None):
     # an inferred class count is bounded; the dataset checks a given one
     limit = MAX_CLASSES if class_count is None else 2**63
     ids, labels, values = (
-        _parse_body(body, width, limit) or _parse_lines(body, width, limit)
+        _parse_body(body, width, limit)
+        or _parse_lines(body, width, limit, first=header_lines + 1)
     )
     if class_count is None:
         class_count = int(labels.max()) + 1 if labels.size else 0
@@ -465,23 +456,27 @@ def _parse_body(body: list, width: int, label_limit: int):
     return ids, labels, parsed["values"]
 
 
-def _csv_records(body: list):
-    """csv records of the data lines; a csv.Error becomes an InputError
-    naming its 1-based file line (the header is line 1)."""
+def _csv_records(body: list, first: int):
+    """(line, record) of each csv record of the data lines, where `line` is
+    the 1-based file line the record starts on and `first` that of body[0];
+    a csv.Error becomes an InputError naming the line it was found on."""
     reader = csv.reader(body)
+    start = first
     try:
-        yield from reader
+        for record in reader:
+            yield start, record
+            start = first + reader.line_num
     except csv.Error as exc:
-        raise InputError(f"line {reader.line_num + 1}: {exc}") from exc
+        raise InputError(f"line {first + reader.line_num - 1}: {exc}") from exc
 
 
-def _parse_lines(body: list, width: int, label_limit: int):
-    """(ids, labels, values) parsed line by line; the first bad row, a label
-    at or above `label_limit` included, raises an InputError naming its
-    1-based line."""
+def _parse_lines(body: list, width: int, label_limit: int, first: int):
+    """(ids, labels, values) parsed line by line from the data lines, body[0]
+    being file line `first`; the first bad row, a label at or above
+    `label_limit` included, raises an InputError naming its 1-based line."""
     ids, labels, rows = [], [], []
     seen = {}
-    for lineno, record in enumerate(_csv_records(body), start=2):
+    for lineno, record in _csv_records(body, first):
         if not record:
             continue
         if len(record) != width + 2:

@@ -4,28 +4,34 @@ Layout (little-endian throughout):
 
     bytes 0..3   magic b"RFGS"
     bytes 4..7   header length (uint32)
-    header       UTF-8 JSON: format_version, gamma, feature_dim,
-                 class_count, extractor (or null), learned/forgotten id
-                 counts, checksum algorithm, payload checksum (sha256 hex)
+    header       UTF-8 JSON as json.dumps(header, sort_keys=True) writes
+                 it: format_version (2), gamma, feature_dim, class_count,
+                 extractor (or null), learned/forgotten id counts, checksum
+                 algorithm, and checksum: the sha256 hex of the header
+                 without its checksum field, in that form, then the payload
     payload      W entries, T entries (float64), then the sorted learned
                  and forgotten id sets (int64)
 
+Format 1, which load_state still reads, has the same layout with
+payload_checksum, the sha256 of the payload alone, in place of checksum.
 Floats travel as raw 64-bit payload bytes, so load(save(state)) reproduces
-W, T, the ledger, and the extractor recipe bit-for-bit.  A bad magic,
-truncated payload, checksum mismatch, a header in any other form than the
-one save_state writes, or a header value no valid state holds raises
+W, T (the symmetric matrix updates read, mirrored from its lower triangle),
+the ledger, and the extractor recipe bit-for-bit.  A bad magic, truncated
+payload, checksum mismatch, a header in any other form than the one
+save_state writes, or a header value no valid state holds raises
 IntegrityError without exposing partial state; an unknown format_version
 raises VersionError.  Each id array must be strictly increasing, as
 save_state writes it, and the forgotten ids a subset of the learned ones,
-so a header that shifts ids between the two counts is rejected too.  The
-checksum does not cover the header, so a header value replaced by another
-valid one (gamma, the extractor's seed) loads.
+so a header that shifts ids between the two counts is rejected too.  A
+format 1 header value replaced by another valid one (gamma, the extractor's
+seed) loads; format 2's checksum rejects it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -39,8 +45,16 @@ from .harness import EngineState
 from .verify import SampleLedger
 
 MAGIC = b"RFGS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 CHECKSUM_ALGORITHM = "sha256"
+
+# Rows of T a save mirrors from its lower triangle at a time: a block is
+# 64 d floats, an eighth of T at d = 512, where a full copy is d x d.
+_ROW_BLOCK = 64
+
+
+def _canonical(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
 def save_state(state: EngineState, path) -> None:
@@ -52,19 +66,18 @@ def save_state(state: EngineState, path) -> None:
     after the rename, so that the rename itself survives a power cut."""
     learned = np.array(sorted(state.ledger.learned_ids), dtype=np.int64)
     forgotten = np.array(sorted(state.ledger.forgotten_ids), dtype=np.int64)
-    # byte views of the payload's pieces, hashed and written in turn: no
-    # copy of T is made (the arrays are C order; "<" is the native order on
-    # little-endian hosts)
-    pieces = [
-        memoryview(np.ascontiguousarray(array, dtype=dtype)).cast("B")
-        for array, dtype in (
-            (state.model.weights, "<f8"), (state.tracking.matrix, "<f8"),
-            (learned, "<i8"), (forgotten, "<i8"),
+
+    def pieces():
+        # byte views of the payload in order, made once to hash and once to
+        # write (the arrays are C order; "<" is the native order on
+        # little-endian hosts)
+        floats = itertools.chain(
+            [state.model.weights], state.tracking._row_blocks(_ROW_BLOCK)
         )
-    ]
-    checksum = hashlib.sha256()
-    for piece in pieces:
-        checksum.update(piece)
+        for arrays, dtype in ((floats, "<f8"), ((learned, forgotten), "<i8")):
+            for array in arrays:
+                yield memoryview(np.ascontiguousarray(array, dtype=dtype)).cast("B")
+
     extractor = None
     if state.extractor is not None:
         extractor = {
@@ -82,9 +95,12 @@ def save_state(state: EngineState, path) -> None:
         "learned_count": int(learned.size),
         "forgotten_count": int(forgotten.size),
         "checksum_algorithm": CHECKSUM_ALGORITHM,
-        "payload_checksum": checksum.hexdigest(),
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    checksum = hashlib.sha256(_canonical(header))
+    for piece in pieces():
+        checksum.update(piece)
+    header["checksum"] = checksum.hexdigest()
+    header_bytes = _canonical(header)
     path = os.fspath(path)
     directory, name = os.path.split(path)
     # written beside `path` so that os.replace swaps it in atomically
@@ -92,7 +108,7 @@ def save_state(state: EngineState, path) -> None:
     try:
         with open(temp, "wb") as handle:
             handle.write(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes)
-            for piece in pieces:
+            for piece in pieces():
                 handle.write(piece)
             handle.flush()
             os.fsync(handle.fileno())
@@ -123,14 +139,14 @@ def load_state(path) -> EngineState:
         version = header.get("format_version")
     except (UnicodeDecodeError, json.JSONDecodeError, AttributeError) as exc:
         raise IntegrityError(f"{path}: unreadable header: {exc}") from exc
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise VersionError(
             f"{path}: format version {version!r} is not supported "
-            f"(expected {FORMAT_VERSION})"
+            f"(expected 1 or {FORMAT_VERSION})"
         )
-    if json.dumps(header, sort_keys=True).encode("utf-8") != raw:
+    if _canonical(header) != raw:
         raise IntegrityError(f"{path}: header is not in the form save_state writes")
-    payload = blob[8 + header_len :]
+    payload = memoryview(blob)[8 + header_len :]
     offset = 0
 
     def take(count: int, dtype: str) -> np.ndarray:
@@ -139,17 +155,22 @@ def load_state(path) -> EngineState:
         offset += 8 * count
         return out
 
-    # the checksum does not cover the header: a value no valid state holds
-    # is corruption too, whichever check finds it
+    # format 1's checksum does not cover the header: a value no valid state
+    # holds is corruption too, whichever check finds it
     try:
         if header["checksum_algorithm"] != CHECKSUM_ALGORITHM:
             raise IntegrityError(f"{path}: unknown checksum algorithm")
+        field = "payload_checksum" if version == 1 else "checksum"
+        checksum = header[field]
+        digest = hashlib.sha256(
+            b"" if version == 1
+            else _canonical({k: v for k, v in header.items() if k != field})
+        )
         gamma = float(header["gamma"])
         d_f = int(header["feature_dim"])
         d_c = int(header["class_count"])
         learned_count = int(header["learned_count"])
         forgotten_count = int(header["forgotten_count"])
-        checksum = header["payload_checksum"]
         extractor_info = header["extractor"]
         if learned_count < 0 or forgotten_count < 0:
             raise IntegrityError(f"{path}: negative id count")
@@ -158,8 +179,9 @@ def load_state(path) -> EngineState:
             raise IntegrityError(
                 f"{path}: payload is {len(payload)} bytes, expected {expected_len}"
             )
-        if hashlib.sha256(payload).hexdigest() != checksum:
-            raise IntegrityError(f"{path}: payload checksum mismatch")
+        digest.update(payload)
+        if digest.hexdigest() != checksum:
+            raise IntegrityError(f"{path}: checksum mismatch")
         weights = take(d_f * d_c, "<f8").reshape(d_f, d_c)
         tracking = take(d_f * d_f, "<f8").reshape(d_f, d_f)
         learned = take(learned_count, "<i8")

@@ -278,7 +278,7 @@ def test_import_loads_the_kernels_without_scipy_linalg():
         "import sys\n"
         "import ridgeforget.cli\n"
         "from ridgeforget import core\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
         "assert core.blas.__name__ == 'scipy.linalg._fblas'\n"
         "assert core.lapack.__name__ == 'scipy.linalg._flapack'\n"
         "import scipy.linalg\n"
@@ -294,9 +294,10 @@ def test_import_loads_the_kernels_without_scipy_linalg():
 
 @pytest.mark.parametrize("damaged", [False, True], ids=["no-file", "unloadable-file"])
 def test_kernel_loader_falls_back_to_scipy_linalg(tmp_path, damaged):
-    # the loader looks for the files beside scipy.__file__, so pointing that
-    # at an empty folder, or at one of non-ELF files, makes it fail; the
-    # import system finds scipy.linalg through scipy.__path__ as before
+    # the loader looks for the files beside the origin of scipy's spec, which
+    # find_spec takes from an imported scipy, so pointing that at an empty
+    # folder, or at one of non-ELF files, makes it fail; the import system
+    # finds scipy.linalg through scipy.__path__ as before
     linalg = tmp_path / "scipy" / "linalg"
     linalg.mkdir(parents=True)
     if damaged:
@@ -305,7 +306,7 @@ def test_kernel_loader_falls_back_to_scipy_linalg(tmp_path, damaged):
             (linalg / (name + suffix)).write_bytes(b"not a shared object")
     _run_python(
         "import scipy\n"
-        f"scipy.__file__ = {str(tmp_path / 'scipy' / '__init__.py')!r}\n"
+        f"scipy.__spec__.origin = {str(tmp_path / 'scipy' / '__init__.py')!r}\n"
         "import numpy as np\n"
         "from ridgeforget import FeatureBatch, core, joint_fit, unlearn_model, "
         "unlearn_tracking\n"

@@ -148,14 +148,17 @@ def test_unknown_version_is_version_error(tmp_path):
      # the payload's ids stay put: the counts say which are learned
      (lambda h: h.update(learned_count=66, forgotten_count=0), None),
      (lambda h: h.update(learned_count=51, forgotten_count=15), None),
-     (lambda h: h.update(learned_count=-1, forgotten_count=67), None)],
+     (lambda h: h.update(learned_count=-1, forgotten_count=67), None),
+     # valid values of another state: only the checksum tells
+     (lambda h: h.update(gamma=0.031), None),
+     (lambda h: h["extractor"].update(seed=int("1" + str(h["extractor"]["seed"]))), None)],
     ids=["extractor-without-input-dim", "extractor-not-an-object",
          "unknown-nonlinearity", "negative-extractor-seed", "negative-gamma",
          "extractor-dim-off-the-model", "extractor-input-dim-over-bound",
          "unknown-checksum-algorithm",
          "header-in-another-json-form",
          "forgotten-ids-counted-as-learned", "one-forgotten-id-counted-as-learned",
-         "negative-id-count"],
+         "negative-id-count", "gamma-replaced", "extractor-seed-digit-added"],
 )
 def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, indent):
     _, _, state = run_to_state()
@@ -186,13 +189,39 @@ def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, i
     assert peak < 1 << 23
 
 
-def test_save_writes_the_payload_without_copying_t(tmp_path):
+def _wide_state():
     rng = np.random.default_rng(17)
     model, tracking = joint_fit(rand_batch(rng, 600, 512, 3), 1e-3)
-    forgotten = set(range(0, 600, 7))
-    state = EngineState(model, tracking, SampleLedger(set(range(600)), forgotten),
-                        FeatureExtractor.from_seed(3, 4, 512))
-    t_bytes = tracking.matrix.nbytes  # built and kept before the save
+    return EngineState(model, tracking,
+                       SampleLedger(set(range(600)), set(range(0, 600, 7))),
+                       FeatureExtractor.from_seed(3, 4, 512))
+
+
+def _hand_built(state, version):
+    """The file of `_wide_state()` in format `version`, built by hand."""
+    payload = b"".join([
+        state.model.weights.astype("<f8").tobytes(),
+        state.tracking.matrix.astype("<f8").tobytes(),
+        np.arange(600, dtype="<i8").tobytes(),
+        np.arange(0, 600, 7, dtype="<i8").tobytes(),
+    ])
+    header = {
+        "format_version": version, "gamma": 1e-3, "feature_dim": 512, "class_count": 3,
+        "extractor": {"seed": 3, "input_dim": 4, "feature_dim": 512, "nonlinearity": "relu"},
+        "learned_count": 600, "forgotten_count": 86, "checksum_algorithm": "sha256",
+    }
+    if version == 1:
+        header["payload_checksum"] = hashlib.sha256(payload).hexdigest()
+    else:
+        covered = json.dumps(header, sort_keys=True).encode("utf-8") + payload
+        header["checksum"] = hashlib.sha256(covered).hexdigest()
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(raw)) + raw + payload
+
+
+def test_save_writes_the_payload_without_copying_t(tmp_path):
+    state = _wide_state()
+    t_bytes = 8 * 512 * 512
     path = tmp_path / "wide.state"
     tracemalloc.start()
     try:
@@ -202,21 +231,31 @@ def test_save_writes_the_payload_without_copying_t(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * t_bytes
-    pieces = [
-        model.weights.astype("<f8").tobytes(),
-        tracking.matrix.astype("<f8").tobytes(),
-        np.arange(600, dtype="<i8").tobytes(),
-        np.array(sorted(forgotten), dtype="<i8").tobytes(),
-    ]
-    header = json.dumps({
-        "format_version": 1, "gamma": 1e-3, "feature_dim": 512, "class_count": 3,
-        "extractor": {"seed": 3, "input_dim": 4, "feature_dim": 512, "nonlinearity": "relu"},
-        "learned_count": 600, "forgotten_count": len(forgotten),
-        "checksum_algorithm": "sha256",
-        "payload_checksum": hashlib.sha256(b"".join(pieces)).hexdigest(),
-    }, sort_keys=True).encode("utf-8")
-    want = MAGIC + struct.pack("<I", len(header)) + header + b"".join(pieces)
-    assert path.read_bytes() == want
+    # nor is the full matrix built and left on the live state
+    assert "matrix" not in vars(state.tracking)
+    assert path.read_bytes() == _hand_built(state, 2)
+
+
+def test_load_takes_the_payload_without_copying_it(tmp_path):
+    path = tmp_path / "wide.state"
+    save_state(_wide_state(), path)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        load_state(path)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, the tracking matrix's copy of T and its symmetry
+    # check's d x d temporary; a copy of the payload would be a fourth T
+    assert peak < 3.5 * 8 * 512 * 512
+
+
+def test_format_1_state_loads_bit_exact(tmp_path):
+    state = _wide_state()
+    path = tmp_path / "v1.state"
+    path.write_bytes(_hand_built(state, 1))
+    assert_states_equal(load_state(path), state)
 
 
 def test_state_without_extractor_round_trips(tmp_path):
