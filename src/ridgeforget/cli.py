@@ -4,7 +4,6 @@ Subcommands:
   gen-data   synthetic Gaussian-cluster dataset -> CSV
   run        learn the dataset, process forget requests, report and persist
   verify     gap report for a persisted state against its dataset
-  bench      per-forget-request timing across retained-set sizes
   resume     continue a persisted state with more forget requests
 
 Exit codes: 0 success, 1 contract/input errors, 2 state-integrity errors.
@@ -32,7 +31,6 @@ from .features import (
 )
 from .harness import (
     EngineState,
-    bench_scaling,
     build_forget_stream,
     build_stream,
     run_stream,
@@ -177,27 +175,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError as exc:
-        raise InputError(
-            f"--sizes must be a comma list of integers, got {args.sizes!r}"
-        ) from exc
-    rows = bench_scaling(
-        sizes, args.forget_size, args.dfeat, args.repeats,
-        gamma=args.gamma, seed=args.seed,
-    )
-    lines = ["retained_size,forget_size,feature_dim,repeats,mean_seconds,std_seconds"]
-    for row in rows:
-        lines.append(
-            f"{row.retained_size},{row.forget_size},{row.feature_dim},"
-            f"{row.repeats},{row.mean_seconds!r},{row.std_seconds!r}"
-        )
-    _emit(args.out, lines)
-    return 0
-
-
 def _cmd_resume(args) -> int:
     state = load_state(args.state)
     encoded = _encode_dataset(args.data, state.extractor)
@@ -253,16 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--test-data", required=True)
     ver.add_argument("--out", default=None)
     ver.set_defaults(handler=_cmd_verify)
-
-    bench = sub.add_parser("bench", help="forget-request timing vs retained size")
-    bench.add_argument("--sizes", required=True, help="comma list, e.g. 1000,10000")
-    bench.add_argument("--forget-size", type=int, default=100)
-    bench.add_argument("--dfeat", type=int, default=64)
-    bench.add_argument("--repeats", type=int, default=20)
-    bench.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default=None)
-    bench.set_defaults(handler=_cmd_bench)
 
     res = sub.add_parser("resume", help="continue a saved state with more forgetting")
     res.add_argument("--state", required=True)

@@ -22,15 +22,11 @@ import numpy as np
 from .core import (
     DEFAULT_GAMMA,
     AnalyticModel,
-    FeatureBatch,
     TrackingMatrix,
     _check_batch_dims,
-    _check_feature_dim,
-    _check_gamma,
     _check_pair,
     _check_seed,
     _set_fields,
-    joint_fit,
     learn_update,
     unlearn_model,
     unlearn_tracking,
@@ -41,9 +37,7 @@ from .errors import (
     RidgeForgetError,
     RunAbortedError,
 )
-from .features import (
-    MAX_CLASSES, MAX_SYNTHETIC_VALUES, EncodedDataset, FeatureExtractor,
-)
+from .features import MAX_CLASSES, EncodedDataset, FeatureExtractor
 from .verify import GapReport, SampleLedger, gap_report
 
 
@@ -135,19 +129,20 @@ class EngineState:
         gamma: float = DEFAULT_GAMMA,
         extractor: FeatureExtractor | None = None,
     ) -> "EngineState":
-        """W = 0 and T = (gamma I)^(-1); both dimensions and gamma are
-        checked before anything is allocated."""
-        feature_dim = _check_feature_dim(feature_dim)
-        gamma = _check_gamma(gamma)
+        """W = 0 and T = (gamma I)^(-1).  class_count is checked here, and
+        feature_dim and gamma by TrackingMatrix.fresh, before T or W is
+        allocated."""
         if not (
             isinstance(class_count, numbers.Integral) and 1 <= class_count <= MAX_CLASSES
         ):
             raise ContractViolation(
                 f"class_count must lie in [1, {MAX_CLASSES}], got {class_count!r}"
             )
-        model = AnalyticModel(np.zeros((feature_dim, int(class_count))), gamma)
-        return cls(model, TrackingMatrix.fresh(feature_dim, gamma),
-                   SampleLedger(), extractor)
+        tracking = TrackingMatrix.fresh(feature_dim, gamma)
+        model = AnalyticModel(
+            np.zeros((tracking.feature_dim, int(class_count))), tracking.gamma
+        )
+        return cls(model, tracking, SampleLedger(), extractor)
 
 
 def _forget_batches(
@@ -276,85 +271,3 @@ def run_stream(
         record.per_request.append(RequestRecord(kind, index, len(batch), elapsed, report))
 
     return record, state
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    retained_size: int
-    forget_size: int
-    feature_dim: int
-    repeats: int
-    mean_seconds: float
-    std_seconds: float
-
-
-def bench_scaling(
-    retained_sizes,
-    forget_size: int,
-    feature_dim: int,
-    repeats: int,
-    gamma: float = DEFAULT_GAMMA,
-    seed: int = 0,
-):
-    """Mean/std wall time of one forget request at several retained sizes.
-
-    Each measurement starts from the same fitted immutable state for its
-    size and removes a freshly sampled batch, so the retained size is
-    exactly N for every repeat.  Per-request cost must not grow with N:
-    the update never touches retained rows.  Labels are drawn from two
-    classes.  Every size is checked before the first fit: a synthetic
-    dataset holds at most MAX_SYNTHETIC_VALUES features.
-    """
-    seed = _check_seed(seed)
-    feature_dim = _check_feature_dim(feature_dim)
-    if repeats < 0:
-        raise InputError(f"repeats must be >= 0, got {repeats}")
-    if repeats == 0:
-        return []
-    if forget_size < 1:
-        raise InputError(f"forget_size must be >= 1, got {forget_size}")
-    retained_sizes = list(retained_sizes)
-    for size in retained_sizes:
-        if size < forget_size:
-            raise InputError(
-                f"retained size {size} is smaller than forget batch {forget_size}"
-            )
-        if int(size) * feature_dim > MAX_SYNTHETIC_VALUES:
-            raise InputError(
-                f"retained size {size} x feature_dim {feature_dim} exceeds the "
-                f"{MAX_SYNTHETIC_VALUES} values a synthetic dataset may hold"
-            )
-    rows = []
-    for size in retained_sizes:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(int(size),))
-        )
-        features = rng.standard_normal((size, feature_dim))
-        labels = np.zeros((size, 2))
-        labels[np.arange(size), rng.integers(0, 2, size)] = 1.0
-        batch = FeatureBatch(features, labels, np.arange(size, dtype=np.int64))
-        model, tracking = joint_fit(batch, gamma)
-
-        def one_request():
-            picked = rng.choice(size, size=forget_size, replace=False)
-            forget = FeatureBatch(
-                features[picked], labels[picked], np.asarray(picked, dtype=np.int64)
-            )
-            start = time.perf_counter()
-            updated = unlearn_tracking(tracking, forget)
-            unlearn_model(model, updated, forget)
-            return time.perf_counter() - start
-
-        one_request()  # untimed: the first call pays cold caches
-        times = np.array([one_request() for _ in range(repeats)])
-        rows.append(
-            BenchRow(
-                retained_size=int(size),
-                forget_size=forget_size,
-                feature_dim=feature_dim,
-                repeats=repeats,
-                mean_seconds=float(times.mean()),
-                std_seconds=float(times.std()),
-            )
-        )
-    return rows

@@ -12,8 +12,6 @@ Layout (little-endian throughout):
     payload      W entries, T entries (float64), then the sorted learned
                  and forgotten id sets (int64)
 
-Format 1, which load_state still reads, has the same layout with
-payload_checksum, the sha256 of the payload alone, in place of checksum.
 Floats travel as raw 64-bit payload bytes, so load(save(state)) reproduces
 W, T (the symmetric matrix updates read, mirrored from its lower triangle),
 the ledger, and the extractor recipe bit-for-bit.  A bad magic, truncated
@@ -22,9 +20,7 @@ save_state writes, or a header value no valid state holds raises
 IntegrityError without exposing partial state; an unknown format_version
 raises VersionError.  Each id array must be strictly increasing, as
 save_state writes it, and the forgotten ids a subset of the learned ones,
-so a header that shifts ids between the two counts is rejected too.  A
-format 1 header value replaced by another valid one (gamma, the extractor's
-seed) loads; format 2's checksum rejects it.
+so a header that shifts ids between the two counts is rejected too.
 """
 
 from __future__ import annotations
@@ -139,10 +135,10 @@ def load_state(path) -> EngineState:
         version = header.get("format_version")
     except (UnicodeDecodeError, json.JSONDecodeError, AttributeError) as exc:
         raise IntegrityError(f"{path}: unreadable header: {exc}") from exc
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise VersionError(
             f"{path}: format version {version!r} is not supported "
-            f"(expected 1 or {FORMAT_VERSION})"
+            f"(expected {FORMAT_VERSION})"
         )
     if _canonical(header) != raw:
         raise IntegrityError(f"{path}: header is not in the form save_state writes")
@@ -155,16 +151,12 @@ def load_state(path) -> EngineState:
         offset += 8 * count
         return out
 
-    # format 1's checksum does not cover the header: a value no valid state
-    # holds is corruption too, whichever check finds it
     try:
         if header["checksum_algorithm"] != CHECKSUM_ALGORITHM:
             raise IntegrityError(f"{path}: unknown checksum algorithm")
-        field = "payload_checksum" if version == 1 else "checksum"
-        checksum = header[field]
+        checksum = header["checksum"]
         digest = hashlib.sha256(
-            b"" if version == 1
-            else _canonical({k: v for k, v in header.items() if k != field})
+            _canonical({k: v for k, v in header.items() if k != "checksum"})
         )
         gamma = float(header["gamma"])
         d_f = int(header["feature_dim"])

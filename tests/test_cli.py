@@ -1,13 +1,16 @@
+import argparse
 import csv
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ridgeforget import StateFormatError, load_csv, load_state
-from ridgeforget.cli import main
+from ridgeforget import cli
+from ridgeforget.cli import build_parser, main
 from ridgeforget.core import MAX_FEATURE_DIM
-from ridgeforget.features import MAX_PROJECTION_VALUES, MAX_SYNTHETIC_VALUES
+from ridgeforget.features import MAX_PROJECTION_VALUES
 
 
 def run_cli(*argv):
@@ -87,15 +90,21 @@ def test_run_report_gap_columns_match_gap_header(tmp_path, data_files):
     )
 
 
-def test_bench_writes_timing_csv(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert run_cli(
-        "bench", "--sizes", "50,100", "--forget-size", 10, "--dfeat", 8,
-        "--repeats", 2, "--out", out,
-    ) == 0
-    rows = read_report(out)
-    assert [r["retained_size"] for r in rows] == ["50", "100"]
-    capsys.readouterr()
+def test_subcommands_are_the_documented_four(capsys):
+    expected = {"gen-data", "run", "verify", "resume"}
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    doc_block = cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_block = readme.split("## CLI\n\n```\n")[1].split("```")[0]
+    assert set(action.choices) == expected
+    assert {line.split()[0] for line in doc_block.splitlines()} == expected
+    assert {line.split()[1] for line in cli_block.splitlines()
+            if line.startswith("ridgeforget ")} == expected
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "1000"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_bad_input_exits_1(tmp_path, data_files, capsys):
@@ -374,7 +383,6 @@ def test_test_data_label_beyond_the_data_classes_exits_1(tmp_path, data_files, c
 
 _OVER = MAX_FEATURE_DIM + 1
 _RUN = ("run", "--data", "{train}", "--forget-total", 1, "--requests", 1)
-_BENCH = ("bench", "--sizes", 20, "--forget-size", 5, "--dfeat", 4, "--repeats", 1)
 
 
 @pytest.mark.parametrize(
@@ -382,29 +390,22 @@ _BENCH = ("bench", "--sizes", 20, "--forget-size", 5, "--dfeat", 4, "--repeats",
     [((*_RUN, "--seed", -1), "seed must fit in 64 unsigned bits: -1"),
      (("resume", "--state", "{state}", "--data", "{train}", "--forget-total", 1,
        "--requests", 1, "--seed", -1), "seed must fit in 64 unsigned bits: -1"),
-     ((*_BENCH, "--seed", -1), "seed must fit in 64 unsigned bits: -1"),
      ((*_RUN, "--feature-dim", -3), f"feature_dim must lie in [1, {MAX_FEATURE_DIM}]"),
      ((*_RUN, "--feature-dim", _OVER), f"got {_OVER}"),
      (("run", "--data", "{wide}", "--forget-total", 1, "--requests", 1),
       f"line 1: {_OVER} feature columns exceed MAX_FEATURE_DIM"),
-     ((*_BENCH, "--sizes", "abc"), "--sizes must be a comma list of integers"),
-     ((*_BENCH, "--dfeat", 0), "feature_dim must lie in"),
-     ((*_BENCH, "--dfeat", -2), "feature_dim must lie in"),
-     ((*_BENCH, "--dfeat", _OVER), f"got {_OVER}"),
      (("run", "--data", "{train}", "--forget-total", 10, "--requests", 20),
       "forget_requests 20 exceeds forget_total 10"),
      ((*_RUN, "--learn-chunks", 5000), "learn_chunks must lie in [1, 200]"),
-     ((*_BENCH, "--sizes", 10**12), f"exceeds the {MAX_SYNTHETIC_VALUES} values"),
      (("run", "--data", "{wide_raw}", "--forget-total", 1, "--requests", 1,
        "--feature-dim", MAX_FEATURE_DIM),
       f"input_dim {_OVER} x feature_dim {MAX_FEATURE_DIM} exceeds the "
       f"{MAX_PROJECTION_VALUES} projection entries")],
-    ids=["run-seed-negative", "resume-seed-negative", "bench-seed-negative",
+    ids=["run-seed-negative", "resume-seed-negative",
          "run-feature-dim-negative", "run-feature-dim-over-bound",
-         "feature-csv-over-bound", "bench-sizes-not-integers", "bench-dfeat-zero",
-         "bench-dfeat-negative", "bench-dfeat-over-bound",
+         "feature-csv-over-bound",
          "run-more-requests-than-forget-rows", "run-more-learn-chunks-than-rows",
-         "bench-sizes-over-bound", "raw-csv-over-projection-bound"],
+         "raw-csv-over-projection-bound"],
 )
 def test_bad_value_exits_1_before_allocating(tmp_path, data_files, capsys, argv, message):
     train, _ = data_files

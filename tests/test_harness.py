@@ -15,7 +15,6 @@ from ridgeforget import (
     RunAbortedError,
     SampleLedger,
     TrackingMatrix,
-    bench_scaling,
     build_forget_stream,
     build_stream,
     joint_fit,
@@ -390,28 +389,3 @@ def test_build_forget_stream_draws_from_eligible_ids_only():
     drawn = {i for b in stream.forget_requests for i in b.sample_ids.tolist()}
     assert drawn <= eligible
     assert len(drawn) == 8
-
-
-# ------------------------------------------------------------ bench_scaling
-
-
-def test_bench_zero_repeats_is_empty_table():
-    assert bench_scaling([100, 200], 10, 8, repeats=0) == []
-
-
-def test_bench_reports_one_row_per_size():
-    rows = bench_scaling([60, 120], 10, 8, repeats=3, seed=1)
-    assert [r.retained_size for r in rows] == [60, 120]
-    assert all(r.mean_seconds > 0 for r in rows)
-    assert all(r.repeats == 3 for r in rows)
-
-
-def test_bench_time_grows_with_forget_batch_size():
-    small = bench_scaling([400], 20, 64, repeats=10, seed=2)[0]
-    large = bench_scaling([400], 200, 64, repeats=10, seed=2)[0]
-    assert large.mean_seconds > small.mean_seconds
-
-
-def test_bench_rejects_forget_larger_than_retained():
-    with pytest.raises(InputError):
-        bench_scaling([50], 60, 8, repeats=1)

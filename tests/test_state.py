@@ -117,14 +117,15 @@ def test_bad_magic_is_integrity_error(tmp_path):
         load_state(path)
 
 
-def test_unknown_version_is_version_error(tmp_path):
+@pytest.mark.parametrize("version", [99, 1, True], ids=["future", "format-1", "true"])
+def test_unknown_version_is_version_error(tmp_path, version):
     _, _, state = run_to_state()
     path = tmp_path / "full.state"
     save_state(state, path)
     blob = path.read_bytes()
     (header_len,) = struct.unpack("<I", blob[4:8])
     header = json.loads(blob[8 : 8 + header_len])
-    header["format_version"] = 99
+    header["format_version"] = version
     new_header = json.dumps(header, sort_keys=True).encode()
     future = tmp_path / "future.state"
     future.write_bytes(
@@ -197,8 +198,8 @@ def _wide_state():
                        FeatureExtractor.from_seed(3, 4, 512))
 
 
-def _hand_built(state, version):
-    """The file of `_wide_state()` in format `version`, built by hand."""
+def _hand_built(state):
+    """The file of `_wide_state()`, built by hand."""
     payload = b"".join([
         state.model.weights.astype("<f8").tobytes(),
         state.tracking.matrix.astype("<f8").tobytes(),
@@ -206,15 +207,12 @@ def _hand_built(state, version):
         np.arange(0, 600, 7, dtype="<i8").tobytes(),
     ])
     header = {
-        "format_version": version, "gamma": 1e-3, "feature_dim": 512, "class_count": 3,
+        "format_version": 2, "gamma": 1e-3, "feature_dim": 512, "class_count": 3,
         "extractor": {"seed": 3, "input_dim": 4, "feature_dim": 512, "nonlinearity": "relu"},
         "learned_count": 600, "forgotten_count": 86, "checksum_algorithm": "sha256",
     }
-    if version == 1:
-        header["payload_checksum"] = hashlib.sha256(payload).hexdigest()
-    else:
-        covered = json.dumps(header, sort_keys=True).encode("utf-8") + payload
-        header["checksum"] = hashlib.sha256(covered).hexdigest()
+    covered = json.dumps(header, sort_keys=True).encode("utf-8") + payload
+    header["checksum"] = hashlib.sha256(covered).hexdigest()
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     return MAGIC + struct.pack("<I", len(raw)) + raw + payload
 
@@ -233,7 +231,7 @@ def test_save_writes_the_payload_without_copying_t(tmp_path):
     assert peak < 0.5 * t_bytes
     # nor is the full matrix built and left on the live state
     assert "matrix" not in vars(state.tracking)
-    assert path.read_bytes() == _hand_built(state, 2)
+    assert path.read_bytes() == _hand_built(state)
 
 
 def test_load_takes_the_payload_without_copying_it(tmp_path):
@@ -249,13 +247,6 @@ def test_load_takes_the_payload_without_copying_it(tmp_path):
     # the file's bytes, the tracking matrix's copy of T and its symmetry
     # check's d x d temporary; a copy of the payload would be a fourth T
     assert peak < 3.5 * 8 * 512 * 512
-
-
-def test_format_1_state_loads_bit_exact(tmp_path):
-    state = _wide_state()
-    path = tmp_path / "v1.state"
-    path.write_bytes(_hand_built(state, 1))
-    assert_states_equal(load_state(path), state)
 
 
 def test_state_without_extractor_round_trips(tmp_path):
