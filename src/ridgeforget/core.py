@@ -33,9 +33,10 @@ The ten kernels come from scipy's f2py modules _fblas and _flapack, loaded
 from their files without importing scipy (or through scipy.linalg when
 that fails).  Importing this module sets every bundled OpenBLAS copy to
 one thread, and numpy's stays there; scipy's, which serves the ten kernels,
-runs at the host's count in joint_fit's Gram SYRK, POTRF and POTRS, in its
-POTRI when d^3 >= _THREADED_WORK, and in updates with min(m, d) d^2 >=
-_THREADED_WORK.
+runs at the host's count in the Gram SYRK, POTRF and POTRS that joint_fit
+and the gap report's oracle share (_normal_sums, _ridge_solve), in
+joint_fit's POTRI when d^3 >= _THREADED_WORK, and in updates with
+min(m, d) d^2 >= _THREADED_WORK.
 """
 
 from __future__ import annotations
@@ -145,10 +146,11 @@ def _openblas_copies():
 
 
 # (get, set, host thread count) of each OpenBLAS copy.  scipy's gets its
-# import-time count in joint_fit and in updates of min(m, d) d^2 >=
-# _THREADED_WORK; numpy's keeps one thread for good: with both pools awake
-# their idle threads spin against each other (a d=1024, m=100 request took
-# 26-34 ms instead of 13-14 on a 2-vCPU host).
+# import-time count in fits (_normal_sums, _ridge_solve, joint_fit's POTRI)
+# and in updates of min(m, d) d^2 >= _THREADED_WORK; numpy's keeps one
+# thread for good: with both pools awake their idle threads spin against
+# each other (a d=1024, m=100 request took 26-34 ms instead of 13-14 on a
+# 2-vCPU host).
 _OPENBLAS = [(get, put, 1 if suffix else get()) for get, put, suffix in _openblas_copies()]
 
 # Smallest work min(m, d) d^2 of scipy's kernels (m d^2 primal, d^3 dual) at
@@ -521,6 +523,39 @@ def _weight_step(model: AnalyticModel, tracking: TrackingMatrix, batch: FeatureB
     return AnalyticModel(model.weights + s * step, model.gamma)
 
 
+def _normal_sums(features: np.ndarray, labels: np.ndarray, prior=None):
+    """(F^T F in its lower triangle, F^T Y) over the rows, each added to a
+    copy of `prior`'s pair when one is given; `prior` is not written."""
+    gram, rhs = (None, None) if prior is None else prior
+    beta = 0.0 if prior is None else 1.0
+    # F^T Y on one thread: threaded, it averaged 7 ms against 0.6 at N=3000,
+    # d=64; scipy's dgemm takes 20 ms to numpy's 43 at N=10,000, d=1024
+    rhs = blas.dgemm(1.0, features.T, labels.T, beta=beta, c=rhs, trans_b=1)
+    _use_host_blas_threads(True)
+    try:
+        gram = blas.dsyrk(1.0, features.T, beta=beta, c=gram, lower=1)
+    finally:
+        _use_host_blas_threads(False)
+    return gram, rhs
+
+
+def _ridge_solve(gram: np.ndarray, rhs: np.ndarray, gamma: float):
+    """(W, L) with L L^T = gram + gamma I and (gram + gamma I) W = rhs.
+    Reads gram's lower triangle and factors it in gram's own buffer."""
+    gram.flat[:: gram.shape[0] + 1] += gamma
+    _use_host_blas_threads(True)
+    try:
+        factor, info = lapack.dpotrf(gram, lower=1, clean=1, overwrite_a=1)
+        if info != 0:
+            raise SingularityError(
+                f"regularized Gram failed to factorize (info {info})"
+            )
+        weights, _ = lapack.dpotrs(factor, rhs, lower=1)
+    finally:
+        _use_host_blas_threads(False)
+    return weights, factor
+
+
 def joint_fit(batch: FeatureBatch, gamma: float):
     """Fit the classifier on `batch` from scratch.
 
@@ -532,23 +567,12 @@ def joint_fit(batch: FeatureBatch, gamma: float):
     a fit holds its batch plus one d x d matrix.
     """
     gamma = _check_gamma(gamma)
-    # F^T Y on one thread: threaded, it averaged 7 ms against 0.6 at N=3000,
-    # d=64; scipy's dgemm takes 20 ms to numpy's 43 at N=10,000, d=1024
-    rhs = blas.dgemm(1.0, batch.features.T, batch.labels.T, trans_b=1)
-    _use_host_blas_threads(True)
+    weights, factor = _ridge_solve(*_normal_sums(batch.features, batch.labels), gamma)
+    # threaded by the updates' rule: at d = 64 it took 0.072 ms median and
+    # 128 at worst in 50 calls threaded, 0.047 ms on one thread; at
+    # d = 1024, 14 ms threaded against 29 (2-vCPU host)
+    _use_host_blas_threads(batch.feature_dim**3 >= _THREADED_WORK)
     try:
-        gram = blas.dsyrk(1.0, batch.features.T, lower=1)
-        gram.flat[:: batch.feature_dim + 1] += gamma
-        factor, info = lapack.dpotrf(gram, lower=1, clean=1, overwrite_a=1)
-        if info != 0:
-            raise SingularityError(
-                f"regularized Gram failed to factorize (info {info})"
-            )
-        weights, _ = lapack.dpotrs(factor, rhs, lower=1)
-        # threaded by the updates' rule: at d = 64 it took 0.072 ms median and
-        # 128 at worst in 50 calls threaded, 0.047 ms on one thread; at
-        # d = 1024, 14 ms threaded against 29 (2-vCPU host)
-        _use_host_blas_threads(batch.feature_dim**3 >= _THREADED_WORK)
         inverse, _ = lapack.dpotri(factor, lower=1, overwrite_c=1)  # in place
     finally:
         _use_host_blas_threads(False)

@@ -21,6 +21,11 @@ invariants (ids, row counts, finite features, labels in [0, class_count),
 one-hot rows) through one helper, core._check_rows, so a label out of range
 is an InputError naming its sample id wherever it enters.  encode extracts
 a whole dataset in one product.
+
+EncodedDataset.subset copies its rows; subset_by_ids returns views when the
+rows it finds are one contiguous run.  An EncodedDataset also keeps prefix
+sums (F^T F, F^T Y) of its first rows for the gap report's oracle, grown on
+first use (_prefix_sums).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .core import (
     MAX_FEATURE_DIM, FeatureBatch, _as_matrix, _check_feature_dim, _check_rows,
-    _check_seed, _set_fields,
+    _check_seed, _normal_sums, _set_fields,
 )
 from .errors import ContractViolation, InputError
 
@@ -284,8 +289,9 @@ class EncodedDataset:
         return order[at[found]], np.unique(wanted[~found])
 
     def subset_by_ids(self, ids) -> "EncodedDataset":
-        """Rows whose id is in `ids`, in dataset order.  Unknown ids are a
-        contract violation."""
+        """Rows whose id is in `ids`, in dataset order: read-only views of
+        this dataset's arrays when the rows form one contiguous run, and
+        read-only copies otherwise.  Unknown ids are a contract violation."""
         rows, unknown = self._locate(np.fromiter(ids, dtype=np.int64))
         if unknown.size:
             raise ContractViolation(
@@ -294,7 +300,35 @@ class EncodedDataset:
             )
         taken = np.zeros(len(self), dtype=bool)
         taken[rows] = True
-        return self._take(np.flatnonzero(taken))
+        rows = np.flatnonzero(taken)
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+            return self._take(slice(rows[0], rows[-1] + 1))
+        return self._take(rows)
+
+    @cached_property
+    def _prefix_cache(self) -> list:
+        """[sums of the first b rows, of the first 2b rows, ...], grown by
+        _prefix_sums as far as a caller has asked."""
+        return []
+
+    def _prefix_sums(self, rows: int):
+        """(n, sums): n is the largest multiple of the block size b at most
+        `rows`, and sums core._normal_sums' (F^T F, F^T Y) over the first n
+        rows, or None when n = 0.  A block's sums are its own SYRK and GEMM
+        added to the previous block's.  b = max(256, 4 d), so a block's
+        d^2 + d c sums are at most a quarter of its b (d + c) values."""
+        block = max(256, 4 * self.feature_dim)
+        blocks = min(rows, len(self)) // block
+        if blocks == 0:
+            return 0, None
+        cache = self._prefix_cache
+        while len(cache) < blocks:
+            rows_in = slice(len(cache) * block, (len(cache) + 1) * block)
+            cache.append(_normal_sums(
+                self.features[rows_in], self.one_hots[rows_in],
+                cache[-1] if cache else None,
+            ))
+        return blocks * block, cache[blocks - 1]
 
     def to_batch(self) -> FeatureBatch:
         return FeatureBatch._trusted(self.features, self.one_hots, self.sample_ids)

@@ -6,9 +6,13 @@ advances that one state in place.  Every walk over a stream (validation,
 id replay, execution) goes through RequestStream._requests, which yields
 the learn batches in order, then the forget batches in order; run_stream
 runs them in one loop, timing only the update calls (verification is
-oracle overhead and is excluded).  The harness adds no mathematics of its
-own: every request is exactly one tracking update plus one weight update
-from the core module, looked up as this module's globals at call time.
+oracle overhead and is excluded).  A verified run first copies its dataset
+in retention order (_retention_order): after every forget request the
+retained rows are then a prefix, which the gap report gathers as views and
+whose Gram it takes mostly from the copy's prefix sums.  The harness adds
+no mathematics of its own: every request is exactly one tracking update
+plus one weight update from the core module, looked up as this module's
+globals at call time.
 """
 
 from __future__ import annotations
@@ -217,6 +221,37 @@ def build_forget_stream(
     )
 
 
+def _retention_order(
+    dataset: EncodedDataset, ledger: SampleLedger, stream: RequestStream
+) -> EncodedDataset:
+    """`dataset`'s rows as a new dataset, in the order they leave the
+    retained set, last first: the rows still retained after the stream's
+    last request (in dataset order), the stream's forget batches from the
+    last to the first, the rows `ledger` had forgotten before the stream,
+    then the rows never learned.  After every forget request the retained
+    rows are then a prefix and the forgotten rows the block after it.  An id
+    of the ledger or the stream that no row holds is a ContractViolation."""
+    ids = {"learn": [np.fromiter(ledger.learned_ids, np.int64)], "forget": []}
+    for kind, _, batch in stream._requests():
+        ids[kind].append(batch.sample_ids)
+    learned, forgets = np.concatenate(ids["learn"]), ids["forget"][::-1]
+    earlier = np.fromiter(ledger.forgotten_ids, np.int64)
+    rows, unknown = dataset._locate(np.concatenate([learned, *forgets, earlier]))
+    if unknown.size:
+        raise ContractViolation(
+            f"ledger references ids missing from dataset: {unknown[:5].tolist()}"
+        )
+    forgotten = rows[learned.size :]
+    in_stream = forgotten.size - earlier.size
+    rank = np.full(len(dataset), 2, dtype=np.int8)  # never learned
+    rank[rows[: learned.size]] = 0  # retained to the end
+    rank[forgotten] = 1
+    return dataset._take(np.concatenate([
+        np.flatnonzero(rank == 0), forgotten[:in_stream],
+        np.sort(forgotten[in_stream:]), np.flatnonzero(rank == 2),
+    ]))
+
+
 def run_stream(
     stream: RequestStream,
     state: EngineState,
@@ -232,9 +267,12 @@ def run_stream(
     against the retrained oracle is attached to every v-th forget request
     (requires `dataset`, at least one test row and a retained row after
     each verified request, all checked, from the counts validate returns,
-    before the first request runs).  Wall time covers only the
-    tracking/weight update calls.  A failing request aborts the run with
-    its kind and index; `state` stays at the last completed request.
+    before the first request runs).  A run that verifies some request
+    copies `dataset` in retention order, leaving `dataset` as it is; an id
+    of the ledger or the stream that `dataset` lacks is a ContractViolation,
+    raised there.  Wall time covers only the tracking/weight update calls.
+    A failing request aborts the run with its kind and index; `state` stays
+    at the last completed request.
     """
     if verify_every < 0:
         raise InputError(f"verify_every must be >= 0, got {verify_every}")
@@ -250,6 +288,9 @@ def run_stream(
             "no retained row, so it cannot be verified against a model retrained "
             "on the rest"
         )
+
+    if verified:
+        dataset = _retention_order(dataset, state.ledger, stream)
 
     record = RunRecord()
     for kind, index, batch in stream._requests():

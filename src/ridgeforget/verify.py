@@ -8,12 +8,14 @@ residual-threshold classifier.  Exact removal drives all of them to zero.
 
 gap_report gathers the retained rows and the forgotten rows with one
 subset_by_ids each, so every learned id is located once.  It refits the
-oracle from the retained feature rows (never from T or the updated model),
-and scores each row set (retained, test, forgotten) for both models with one
-product rows.features @ [W_u | W_r]: each model's argmax accuracy and squared
-residuals come from its own half of the score rows.  oracle_retrain,
-params_gap and mia_gap share its private helpers, so each metric has one
-definition; the accuracy gaps have no public function of their own.
+oracle from the retained feature rows, never from T, W or an update's
+factors, taking whole blocks of leading rows from the dataset's prefix sums
+(see _oracle).  It scores each row set (retained, test, forgotten) for both
+models with one product rows.features @ [W_u | W_r]: each model's argmax
+accuracy and squared residuals come from its own half of the score rows.
+oracle_retrain, params_gap and mia_gap share its private helpers, so each
+metric has one definition; the accuracy gaps have no public function of
+their own.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AnalyticModel, joint_fit
+from .core import AnalyticModel, _normal_sums, _ridge_solve, joint_fit
 from .core import predict  # noqa: F401  kept: perfbench/tracing.py patches verify.predict
 from .errors import ContractViolation, InputError
 from .features import EncodedDataset
@@ -33,8 +35,11 @@ GAP_CSV_HEADER = "request,delta_params,delta_retain,delta_forget,delta_test,delt
 
 
 def _id_set(sample_ids) -> set:
-    """Python-int id set of a list or array, built without a per-id int()."""
-    return set(np.asarray(sample_ids, dtype=np.int64).reshape(-1).tolist())
+    """Python-int id set of any iterable of ints, built without a per-id
+    int(); a list, tuple or array goes through one int64 array."""
+    if isinstance(sample_ids, (np.ndarray, list, tuple)):
+        return set(np.asarray(sample_ids, dtype=np.int64).reshape(-1).tolist())
+    return set(np.fromiter(sample_ids, dtype=np.int64).tolist())
 
 
 @dataclass
@@ -50,8 +55,8 @@ class SampleLedger:
     forgotten_ids: set = field(default_factory=set)
 
     def __post_init__(self):
-        self.learned_ids = set(int(i) for i in self.learned_ids)
-        self.forgotten_ids = set(int(i) for i in self.forgotten_ids)
+        self.learned_ids = _id_set(self.learned_ids)
+        self.forgotten_ids = _id_set(self.forgotten_ids)
         if not self.forgotten_ids <= self.learned_ids:
             raise ContractViolation("forgotten ids must be a subset of learned ids")
 
@@ -89,9 +94,10 @@ class SampleLedger:
 
 def _ledger_rows(dataset: EncodedDataset, ledger: SampleLedger):
     """(retained rows, forgotten rows) of `dataset` in dataset order, one
-    subset_by_ids each, so every learned id is located once; the forgotten
-    rows are None when nothing is forgotten.  A learned id no row holds is a
-    contract violation."""
+    subset_by_ids each, so every learned id is located once (a set that is
+    one run of rows is a view, not a copy); the forgotten rows are None when
+    nothing is forgotten.  A learned id no row holds is a contract
+    violation."""
     try:
         # the set difference itself: retained_ids would copy it into a frozenset
         retained = dataset.subset_by_ids(ledger.learned_ids - ledger.forgotten_ids)
@@ -117,6 +123,24 @@ def oracle_retrain(
     retained, _ = _ledger_rows(dataset, ledger)
     model, _ = joint_fit(retained.to_batch(), gamma)
     return model
+
+
+def _oracle(
+    dataset: EncodedDataset, retained: EncodedDataset, gamma: float
+) -> AnalyticModel:
+    """The ridge fit on `retained`, rows of `dataset` in dataset order.  The
+    longest run of leading dataset rows that are all retained takes its Gram
+    and F^T Y from the dataset's prefix sums, in whole blocks; the other
+    retained rows add their own SYRK and GEMM.  Every term is a retained
+    row's own product and nothing is subtracted, so the oracle shares no
+    cancellation with the updates it checks.  Without a whole block this is
+    joint_fit's kernel sequence, bit for bit, without the inverse."""
+    ids = retained.sample_ids
+    differ = np.flatnonzero(ids != dataset.sample_ids[: ids.size])
+    cached, prior = dataset._prefix_sums(int(differ[0]) if differ.size else ids.size)
+    sums = _normal_sums(retained.features[cached:], retained.one_hots[cached:], prior)
+    weights, _ = _ridge_solve(*sums, gamma)
+    return AnalyticModel(weights, gamma)
 
 
 def _scored(rows: EncodedDataset, unlearned: AnalyticModel, retrained: AnalyticModel):
@@ -255,8 +279,10 @@ def gap_report(
 
     Equal to composing oracle_retrain, params_gap, mia_gap and a per-row-set
     accuracy, but each row set is gathered once and scored for both models
-    in one product.  A ledger that retains no row, or an empty test set, is
-    an InputError naming the cause."""
+    in one product, and the oracle (_oracle) agrees with joint_fit to
+    rounding, bit for bit when no whole prefix-sum block is retained.  A
+    ledger that retains no row, or an empty test set, is an InputError
+    naming the cause."""
     retained, forgotten = _ledger_rows(dataset, ledger)
     if len(retained) == 0:
         raise InputError(
@@ -265,7 +291,7 @@ def gap_report(
         )
     if len(test_rows) == 0:
         raise InputError("a gap report needs at least one test row")
-    retrained, _ = joint_fit(retained.to_batch(), unlearned.gamma)
+    retrained = _oracle(dataset, retained, unlearned.gamma)
     delta_params = params_gap(unlearned, retrained)
     row_sets = [retained, test_rows] + ([] if forgotten is None else [forgotten])
     # (accuracy, residual scores) per row set: retained, test[, forgotten]

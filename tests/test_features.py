@@ -273,6 +273,23 @@ def test_subset_by_ids_accepts_any_iterable(ids):
     assert _unsorted_ids_dataset().subset_by_ids(ids).sample_ids.tolist() == [7, 11]
 
 
+def test_subset_by_ids_of_a_contiguous_run_is_read_only_views():
+    rng = np.random.default_rng(19)
+    encoded = EncodedDataset(
+        1000 + rng.permutation(12), rng.standard_normal((12, 3)),
+        rng.integers(0, 4, 12), 4,
+    )
+    names = ("sample_ids", "features", "label_indices", "one_hots")
+    for rows, views in (([3, 4, 5, 6], True), ([0], True), ([3, 4, 6], False)):
+        got = encoded.subset_by_ids(reversed(encoded.sample_ids[rows].tolist()))
+        want = encoded.subset(rows)
+        for name in names:
+            array = getattr(got, name)
+            assert np.array_equal(array, getattr(want, name))
+            assert not array.flags.writeable
+            assert np.shares_memory(array, getattr(encoded, name)) == views
+
+
 def test_subset_by_ids_matches_a_membership_loop():
     rng = np.random.default_rng(17)
     for _ in range(20):

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _helpers import batch_union, fresh_state, permuted, rand_batch, rel_fro
+from _helpers import (
+    batch_union, fresh_state, permuted, rand_batch, rel_fro, solve_weights_oracle,
+)
 
 from ridgeforget import (
     AnalyticModel,
@@ -23,6 +25,7 @@ from ridgeforget import (
     unlearn_model,
     unlearn_tracking,
 )
+from ridgeforget import harness, verify
 from ridgeforget.core import MAX_FEATURE_DIM
 from ridgeforget.features import MAX_CLASSES
 
@@ -389,3 +392,104 @@ def test_build_forget_stream_draws_from_eligible_ids_only():
     drawn = {i for b in stream.forget_requests for i in b.sample_ids.tolist()}
     assert drawn <= eligible
     assert len(drawn) == 8
+
+
+# ------------------------------------------------- verified runs' row layout
+
+def _state_arrays(state):
+    return (state.model.weights.copy(), state.tracking.matrix.copy(),
+            set(state.ledger.learned_ids), set(state.ledger.forgotten_ids))
+
+
+def _assert_state_is(state, arrays):
+    weights, tracking, learned, forgotten = arrays
+    assert np.array_equal(state.model.weights, weights)
+    assert np.array_equal(state.tracking.matrix, tracking)
+    assert state.ledger.learned_ids == learned
+    assert state.ledger.forgotten_ids == forgotten
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["stream-id", "ledger-id"])
+def test_verified_run_without_a_row_fails_before_any_request(resumed):
+    rng = np.random.default_rng(59)
+    dataset = make_dataset(rng, 40, 4, 3)
+    test_rows = make_dataset(rng, 10, 4, 3, id_start=100)
+    state = EngineState.fresh(4, 3, 1.0)
+    if resumed:
+        _, state = run_stream(build_stream(dataset, 2, 5, 1, seed=3), state)
+        # id 0 was learned but this stream does not touch it
+        stream = build_forget_stream(
+            dataset, state.ledger.retained_ids - {0}, 5, 1, seed=4
+        )
+    else:
+        stream = build_stream(dataset, 2, 5, 1, seed=3)
+    lacking = dataset.subset_by_ids(set(dataset.sample_ids.tolist()) - {0})
+    before = _state_arrays(state)
+    with pytest.raises(
+        ContractViolation, match=r"^ledger references ids missing from dataset: \[0\]$"
+    ):
+        run_stream(stream, state, verify_every=1, dataset=lacking, test_rows=test_rows)
+    _assert_state_is(state, before)
+
+
+def _dataset_arrays(dataset):
+    return [getattr(dataset, name).copy() for name in
+            ("sample_ids", "features", "label_indices", "one_hots")]
+
+
+def test_verified_oracle_matches_a_dense_solve_across_blocks(monkeypatch):
+    """A run and a resumed run over enough rows for several prefix-sum
+    blocks (b = 256 at d = 16), where some rows are never learned: at every
+    verified request the oracle equals a dense solve on the ledger's
+    retained rows, and every delta but the parameter gap equals that of a
+    one-off gap report of the same state on the caller's dataset."""
+    rng = np.random.default_rng(61)
+    dataset = make_dataset(rng, 1500, 16, 4)
+    test_rows = make_dataset(rng, 200, 16, 4, id_start=10_000)
+    never = set(rng.choice(dataset.sample_ids, size=150, replace=False).tolist())
+    learned = dataset.subset_by_ids(set(dataset.sample_ids.tolist()) - never)
+    calls = {"prefix_rows": [], "reports": 0}
+
+    prefix_sums = EncodedDataset._prefix_sums
+
+    def recorded_prefix_sums(self, rows):
+        cached, sums = prefix_sums(self, rows)
+        calls["prefix_rows"].append(cached)
+        return cached, sums
+
+    def checked_oracle(layout, retained, gamma):
+        model = oracle(layout, retained, gamma)
+        want = solve_weights_oracle(retained.features, retained.one_hots, gamma)
+        assert rel_fro(model.weights, want) <= 1e-10
+        return model
+
+    def checked_report(model, layout, ledger, test, index):
+        report = gap_report(model, layout, ledger, test, index)
+        retained = set(ledger.learned_ids - ledger.forgotten_ids)
+        assert set(layout.sample_ids[: len(retained)].tolist()) == retained
+        one_off = gap_report(model, dataset, ledger.copy(), test, index)
+        assert report.deltas[1:] == one_off.deltas[1:]
+        assert abs(report.delta_params - one_off.delta_params) <= 1e-10
+        assert report.max_delta() <= 1e-8
+        calls["reports"] += 1
+        return report
+
+    oracle, gap_report = verify._oracle, harness.gap_report
+    monkeypatch.setattr(EncodedDataset, "_prefix_sums", recorded_prefix_sums)
+    monkeypatch.setattr(verify, "_oracle", checked_oracle)
+    monkeypatch.setattr(harness, "gap_report", checked_report)
+    original = _dataset_arrays(dataset)
+    _, state = run_stream(
+        build_stream(learned, 3, 300, 6, seed=5), EngineState.fresh(16, 4, 1e-3),
+        verify_every=1, dataset=dataset, test_rows=test_rows,
+    )
+    stream = build_forget_stream(dataset, state.ledger.retained_ids, 200, 4, seed=6)
+    run_stream(stream, state, verify_every=1, dataset=dataset, test_rows=test_rows)
+    assert calls["reports"] == 10
+    # each run's reports used whole cached blocks; the one-off reports on the
+    # caller's dataset, in id order with scattered forgets, used none
+    assert sorted(set(calls["prefix_rows"]))[-1] >= 3 * 256
+    assert all(n % 256 == 0 for n in calls["prefix_rows"])
+    for got, want in zip(_dataset_arrays(dataset), original):
+        assert np.array_equal(got, want)
+    assert "_prefix_cache" not in vars(dataset)

@@ -76,6 +76,34 @@ def test_ledger_records_numpy_array_ids():
     assert ledger.forgotten_ids == {1, 2}
 
 
+_ID_ITERABLES = {
+    "list": list, "tuple": tuple, "ndarray": np.array, "range": None,
+    "set": set, "frozenset": frozenset, "generator": lambda ids: (i for i in ids),
+}
+
+
+def _as_iterable(kind, ids):
+    """`ids` (consecutive ints) as the iterable kind named by `kind`."""
+    if kind == "range":
+        return range(ids[0], ids[-1] + 1)
+    return _ID_ITERABLES[kind](ids)
+
+
+@pytest.mark.parametrize("kind", list(_ID_ITERABLES))
+def test_ledger_records_any_iterable_of_ids(kind):
+    ledger = SampleLedger(_as_iterable(kind, [0, 1]), _as_iterable(kind, [1]))
+    ledger.record_learn(_as_iterable(kind, [2, 3, 4]))
+    ledger.record_forget(_as_iterable(kind, [3, 4]))
+    assert ledger.learned_ids == {0, 1, 2, 3, 4}
+    assert ledger.forgotten_ids == {1, 3, 4}
+    assert all(type(i) is int for i in ledger.learned_ids | ledger.forgotten_ids)
+    ledger.record_forget(ledger.retained_ids)
+    assert ledger.retained_ids == frozenset()
+    with pytest.raises(ContractViolation, match="already learned"):
+        ledger.record_learn(_as_iterable(kind, [4, 5]))
+    assert ledger.learned_ids == {0, 1, 2, 3, 4}
+
+
 def test_ledger_requires_forgotten_subset_of_learned():
     with pytest.raises(ContractViolation):
         SampleLedger({1}, {1, 2})
