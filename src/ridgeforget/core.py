@@ -32,15 +32,16 @@ finiteness, checked in O(d m) (see TrackingMatrix).
 The ten kernels come from scipy's f2py modules _fblas and _flapack, loaded
 from their files without importing scipy (or through scipy.linalg when
 that fails).  Importing this module sets every bundled OpenBLAS copy to
-one thread, and numpy's stays there; scipy's, which serves the ten kernels,
-runs at the host's count in the Gram SYRK, POTRF and POTRS that joint_fit
-and the gap report's oracle share (_normal_sums, _ridge_solve), in
-joint_fit's POTRI when d^3 >= _THREADED_WORK, and in updates with
-min(m, d) d^2 >= _THREADED_WORK.
+one thread, and numpy's stays there.  scipy's, which serves the ten kernels,
+follows one rule (_threads): a kernel call runs at the host's count when its
+own product does at least _THREADED_WORK work, and on one thread otherwise.
+The work is rows d^2 for the Gram SYRK, rows d c for F^T Y, d^3 for POTRF,
+POTRS and POTRI, and min(m, d) d^2 for an update.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -74,6 +75,12 @@ SYMMETRY_RTOL = 1e-10
 # costs about 16 times as much.  Unbounded, one CSV header of 60,000 feature
 # columns asks for 27 GiB per d x d matrix.
 MAX_FEATURE_DIM = 2**12
+
+# Largest class count c (labels 0..2**16 - 1).  The one-hot rows and the
+# weight matrix are dense in c, so an unbounded label would size them: a
+# label of 10**8 asks for ~48 GiB of weights at d = 64.  2**16 is three times
+# ImageNet-21k's 21,841 classes.
+MAX_CLASSES = 2**16
 
 
 def _load_kernels():
@@ -146,18 +153,21 @@ def _openblas_copies():
 
 
 # (get, set, host thread count) of each OpenBLAS copy.  scipy's gets its
-# import-time count in fits (_normal_sums, _ridge_solve, joint_fit's POTRI)
-# and in updates of min(m, d) d^2 >= _THREADED_WORK; numpy's keeps one
+# import-time count inside a _threads block of enough work; numpy's keeps one
 # thread for good: with both pools awake their idle threads spin against
 # each other (a d=1024, m=100 request took 26-34 ms instead of 13-14 on a
 # 2-vCPU host).
 _OPENBLAS = [(get, put, 1 if suffix else get()) for get, put, suffix in _openblas_copies()]
 
-# Smallest work min(m, d) d^2 of scipy's kernels (m d^2 primal, d^3 dual) at
-# which an update runs threaded.  In process on a 2-vCPU host, threading took
+# Smallest work (multiply-adds of one kernel call's product) at which scipy's
+# kernels run threaded.  In process on a 2-vCPU host, threaded updates took
 # 0.76-0.98 of the one-thread time at primal m d^2 >= 6.5e6 and dual d^3 >=
 # 1.7e7, 1.00-1.03 at dual d = m = 192 (7.1e6), and 0.93-1.17 at m d^2 or d^3
-# <= 2.6e6, where an m d^2 rule would thread 64 x 1024 duals (CHANGES.md).
+# <= 2.6e6, where an m d^2 rule would thread 64 x 1024 duals; POTRI at d = 64
+# took 0.072 ms median and 128 at worst in 50 calls threaded, 0.047 on one
+# thread, and at d = 1024 14 ms against 29; F^T Y at N = 10,000, c = 10 took
+# 7.5-7.9 ms against 11.7-12.0 at d = 1024 and 0.56 against 0.72-0.75 at
+# d = 64 (CHANGES.md).
 _THREADED_WORK = 2**22
 
 # Width of the column panels in which a primal update copies T's lower
@@ -166,15 +176,27 @@ _THREADED_WORK = 2**22
 _PANEL = 64
 
 
-def _use_host_blas_threads(host: bool):
-    """Set every OpenBLAS copy to its host count, or to 1.  Writes fixed
+@contextlib.contextmanager
+def _threads(work):
+    """Run the block's kernels at each OpenBLAS copy's host count when `work`
+    >= _THREADED_WORK, and set every copy back to 1 on leaving it, also on a
+    raise.  A smaller block makes no OpenBLAS call at all.  Writes fixed
     values and never restores a read one, so concurrent callers can at worst
     run a kernel on one thread, never leave a stale count."""
+    if work < _THREADED_WORK:
+        yield
+        return
     for _, put, count in _OPENBLAS:
-        put(count if host else 1)
+        put(count)
+    try:
+        yield
+    finally:
+        for _, put, _ in _OPENBLAS:
+            put(1)
 
 
-_use_host_blas_threads(False)
+for _, _put, _ in _OPENBLAS:  # the import-time pin
+    _put(1)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -212,6 +234,16 @@ def _check_feature_dim(feature_dim) -> int:
             f"feature_dim must lie in [1, {MAX_FEATURE_DIM}], got {feature_dim!r}"
         )
     return int(feature_dim)
+
+
+def _check_class_count(class_count) -> int:
+    """`class_count` as an int, if it lies in [1, MAX_CLASSES]; checked
+    before anything of size d c is allocated."""
+    if not (isinstance(class_count, numbers.Integral) and 1 <= class_count <= MAX_CLASSES):
+        raise ContractViolation(
+            f"class_count must lie in [1, {MAX_CLASSES}], got {class_count!r}"
+        )
+    return int(class_count)
 
 
 def _check_gamma(gamma) -> float:
@@ -311,9 +343,8 @@ class TrackingMatrix:
         # reached only for attributes not yet set: `matrix` of a _trusted T
         if name != "matrix":
             raise AttributeError(name)
-        lower = self._lower
-        tri = np.tri(len(lower), dtype=bool)
-        return _set_fields(self, matrix=np.where(tri, lower, lower.T)).matrix
+        (matrix,) = self._row_blocks(len(self._lower))
+        return _set_fields(self, matrix=matrix).matrix
 
     def _row_blocks(self, rows: int):
         """The rows of `matrix`, `rows` at a time, each block mirrored from
@@ -474,10 +505,7 @@ def _rank_update(tracking: TrackingMatrix, batch: FeatureBatch, s: float) -> Tra
     triangles of the Fortran order working arrays of T and T'."""
     t, f = tracking._lower, batch.features
     update = None
-    threaded = min(f.shape) * t.size >= _THREADED_WORK
-    if threaded:
-        _use_host_blas_threads(True)
-    try:
+    with _threads(min(f.shape) * t.size):
         if f.shape[0] < f.shape[1]:
             ft_t = blas.dsymm(1.0, t, f.T, lower=1)  # (F T)^T = T F^T
             part = blas.dgemm(1.0, f.T, ft_t, trans_a=1).T  # F T F^T
@@ -500,9 +528,6 @@ def _rank_update(tracking: TrackingMatrix, batch: FeatureBatch, s: float) -> Tra
                 1.0, factor, chol, side=1, lower=1, trans_a=1, overwrite_b=1
             )
             new_t = blas.dsyrk(1.0, consumed, lower=1)
-    finally:
-        if threaded:
-            _use_host_blas_threads(False)
     return TrackingMatrix._trusted(new_t, tracking.gamma, update, consumed)
 
 
@@ -528,14 +553,12 @@ def _normal_sums(features: np.ndarray, labels: np.ndarray, prior=None):
     copy of `prior`'s pair when one is given; `prior` is not written."""
     gram, rhs = (None, None) if prior is None else prior
     beta = 0.0 if prior is None else 1.0
-    # F^T Y on one thread: threaded, it averaged 7 ms against 0.6 at N=3000,
-    # d=64; scipy's dgemm takes 20 ms to numpy's 43 at N=10,000, d=1024
-    rhs = blas.dgemm(1.0, features.T, labels.T, beta=beta, c=rhs, trans_b=1)
-    _use_host_blas_threads(True)
-    try:
+    rows, d = features.shape
+    # scipy's dgemm: numpy's took twice as long at N=10,000, d=1024
+    with _threads(rows * d * labels.shape[1]):
+        rhs = blas.dgemm(1.0, features.T, labels.T, beta=beta, c=rhs, trans_b=1)
+    with _threads(rows * d * d):
         gram = blas.dsyrk(1.0, features.T, beta=beta, c=gram, lower=1)
-    finally:
-        _use_host_blas_threads(False)
     return gram, rhs
 
 
@@ -543,16 +566,13 @@ def _ridge_solve(gram: np.ndarray, rhs: np.ndarray, gamma: float):
     """(W, L) with L L^T = gram + gamma I and (gram + gamma I) W = rhs.
     Reads gram's lower triangle and factors it in gram's own buffer."""
     gram.flat[:: gram.shape[0] + 1] += gamma
-    _use_host_blas_threads(True)
-    try:
+    with _threads(len(gram) ** 3):
         factor, info = lapack.dpotrf(gram, lower=1, clean=1, overwrite_a=1)
         if info != 0:
             raise SingularityError(
                 f"regularized Gram failed to factorize (info {info})"
             )
         weights, _ = lapack.dpotrs(factor, rhs, lower=1)
-    finally:
-        _use_host_blas_threads(False)
     return weights, factor
 
 
@@ -568,14 +588,8 @@ def joint_fit(batch: FeatureBatch, gamma: float):
     """
     gamma = _check_gamma(gamma)
     weights, factor = _ridge_solve(*_normal_sums(batch.features, batch.labels), gamma)
-    # threaded by the updates' rule: at d = 64 it took 0.072 ms median and
-    # 128 at worst in 50 calls threaded, 0.047 ms on one thread; at
-    # d = 1024, 14 ms threaded against 29 (2-vCPU host)
-    _use_host_blas_threads(batch.feature_dim**3 >= _THREADED_WORK)
-    try:
+    with _threads(len(factor) ** 3):
         inverse, _ = lapack.dpotri(factor, lower=1, overwrite_c=1)  # in place
-    finally:
-        _use_host_blas_threads(False)
     tracking = TrackingMatrix._trusted(inverse, gamma)
     return AnalyticModel(weights, gamma), tracking
 

@@ -38,18 +38,12 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    MAX_FEATURE_DIM, FeatureBatch, _as_matrix, _check_feature_dim, _check_rows,
-    _check_seed, _normal_sums, _set_fields,
+    MAX_CLASSES, MAX_FEATURE_DIM, FeatureBatch, _as_matrix, _check_feature_dim,
+    _check_rows, _check_seed, _normal_sums, _set_fields,
 )
 from .errors import ContractViolation, InputError
 
 NONLINEARITIES = ("relu", "identity")
-
-# Largest class count load_csv infers from the labels (labels 0..2**16 - 1).
-# The one-hot rows and the weight matrix are dense in the class count, so an
-# unbounded label would size them: a label of 10**8 asks for ~48 GiB of
-# weights at d = 64.  2**16 is three times ImageNet-21k's 21,841 classes.
-MAX_CLASSES = 2**16
 
 # Most input values (rows x input_dim) a synthetic dataset may hold, which
 # caps its rows at MAX_SYNTHETIC_VALUES // input_dim.  Generation holds a few

@@ -17,7 +17,6 @@ globals at call time.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +27,8 @@ from .core import (
     AnalyticModel,
     TrackingMatrix,
     _check_batch_dims,
+    _check_class_count,
+    _check_feature_dim,
     _check_pair,
     _check_seed,
     _set_fields,
@@ -41,7 +42,7 @@ from .errors import (
     RidgeForgetError,
     RunAbortedError,
 )
-from .features import MAX_CLASSES, EncodedDataset, FeatureExtractor
+from .features import EncodedDataset, FeatureExtractor
 from .verify import GapReport, SampleLedger, gap_report
 
 
@@ -115,6 +116,8 @@ class EngineState:
 
     def __post_init__(self):
         _check_pair(self.tracking, self.model)
+        _check_feature_dim(self.model.feature_dim)
+        _check_class_count(self.model.class_count)
         if self.extractor is not None and self.extractor.feature_dim != self.model.feature_dim:
             raise ContractViolation(
                 f"extractor feature dim {self.extractor.feature_dim} does not match "
@@ -136,16 +139,9 @@ class EngineState:
         """W = 0 and T = (gamma I)^(-1).  class_count is checked here, and
         feature_dim and gamma by TrackingMatrix.fresh, before T or W is
         allocated."""
-        if not (
-            isinstance(class_count, numbers.Integral) and 1 <= class_count <= MAX_CLASSES
-        ):
-            raise ContractViolation(
-                f"class_count must lie in [1, {MAX_CLASSES}], got {class_count!r}"
-            )
+        class_count = _check_class_count(class_count)
         tracking = TrackingMatrix.fresh(feature_dim, gamma)
-        model = AnalyticModel(
-            np.zeros((tracking.feature_dim, int(class_count))), tracking.gamma
-        )
+        model = AnalyticModel(np.zeros((tracking.feature_dim, class_count)), tracking.gamma)
         return cls(model, tracking, SampleLedger(), extractor)
 
 
@@ -225,31 +221,28 @@ def _retention_order(
     dataset: EncodedDataset, ledger: SampleLedger, stream: RequestStream
 ) -> EncodedDataset:
     """`dataset`'s rows as a new dataset, in the order they leave the
-    retained set, last first: the rows still retained after the stream's
-    last request (in dataset order), the stream's forget batches from the
-    last to the first, the rows `ledger` had forgotten before the stream,
-    then the rows never learned.  After every forget request the retained
-    rows are then a prefix and the forgotten rows the block after it.  An id
-    of the ledger or the stream that no row holds is a ContractViolation."""
-    ids = {"learn": [np.fromiter(ledger.learned_ids, np.int64)], "forget": []}
-    for kind, _, batch in stream._requests():
-        ids[kind].append(batch.sample_ids)
-    learned, forgets = np.concatenate(ids["learn"]), ids["forget"][::-1]
-    earlier = np.fromiter(ledger.forgotten_ids, np.int64)
-    rows, unknown = dataset._locate(np.concatenate([learned, *forgets, earlier]))
-    if unknown.size:
-        raise ContractViolation(
-            f"ledger references ids missing from dataset: {unknown[:5].tolist()}"
-        )
-    forgotten = rows[learned.size :]
-    in_stream = forgotten.size - earlier.size
-    rank = np.full(len(dataset), 2, dtype=np.int8)  # never learned
-    rank[rows[: learned.size]] = 0  # retained to the end
-    rank[forgotten] = 1
-    return dataset._take(np.concatenate([
-        np.flatnonzero(rank == 0), forgotten[:in_stream],
-        np.sort(forgotten[in_stream:]), np.flatnonzero(rank == 2),
-    ]))
+    retained set, last first.  Each row gets one leave rank: 0 if retained
+    after the stream's last request, 1..K for the stream's K forget batches
+    from the last to the first, K + 1 if `ledger` had forgotten it before
+    the stream, K + 2 if never learned; rows of one rank keep dataset order.
+    After every forget request the retained rows are then a prefix and the
+    forgotten rows the block after it.  An id of the ledger or the stream
+    that no row holds is a ContractViolation."""
+    forgets = stream.forget_requests
+    # group by group, each overwriting the ranks of the groups before it
+    groups = [(np.fromiter(ledger.learned_ids, np.int64), 0)]
+    groups += [(batch.sample_ids, 0) for batch in stream.learn_requests]
+    groups += [(batch.sample_ids, len(forgets) - k) for k, batch in enumerate(forgets)]
+    groups += [(np.fromiter(ledger.forgotten_ids, np.int64), len(forgets) + 1)]
+    rank = np.full(len(dataset), len(forgets) + 2)
+    for ids, leave in groups:
+        rows, unknown = dataset._locate(ids)
+        if unknown.size:
+            raise ContractViolation(
+                f"ledger references ids missing from dataset: {unknown[:5].tolist()}"
+            )
+        rank[rows] = leave
+    return dataset._take(np.argsort(rank, kind="stable"))
 
 
 def run_stream(
@@ -265,9 +258,9 @@ def run_stream(
 
     Returns (RunRecord, state).  When verify_every = v > 0, a gap report
     against the retrained oracle is attached to every v-th forget request
-    (requires `dataset`, at least one test row and a retained row after
-    each verified request, all checked, from the counts validate returns,
-    before the first request runs).  A run that verifies some request
+    (requires `dataset` and `test_rows` of the state's dimensions, a test
+    row, and a retained row after each verified request, all checked before
+    the first request runs).  A run that verifies some request
     copies `dataset` in retention order, leaving `dataset` as it is; an id
     of the ledger or the stream that `dataset` lacks is a ContractViolation,
     raised there.  Wall time covers only the tracking/weight update calls.
@@ -276,8 +269,11 @@ def run_stream(
     """
     if verify_every < 0:
         raise InputError(f"verify_every must be >= 0, got {verify_every}")
-    if verify_every > 0 and (dataset is None or test_rows is None):
-        raise InputError("verification requires dataset and test_rows")
+    if verify_every > 0:
+        if dataset is None or test_rows is None:
+            raise InputError("verification requires dataset and test_rows")
+        for rows in (dataset, test_rows):
+            _check_batch_dims(rows, state.model.feature_dim, state.model.class_count)
     retained = stream.validate(state)
     verified = retained[verify_every - 1 :: verify_every] if verify_every else []
     if verified and len(test_rows) == 0:

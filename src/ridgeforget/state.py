@@ -182,6 +182,8 @@ def load_state(path) -> EngineState:
         # counts leave an array out of order or forgotten ids never learned
         if (np.diff(learned) <= 0).any() or (np.diff(forgotten) <= 0).any():
             raise IntegrityError(f"{path}: id arrays are not strictly increasing")
+        if (learned[:1] < 0).any():  # the smallest; forgotten ids are learned
+            raise IntegrityError(f"{path}: negative sample id {learned[0]}")
         extractor = None
         if extractor_info is not None:
             extractor = FeatureExtractor.from_seed(

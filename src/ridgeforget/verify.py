@@ -14,8 +14,8 @@ factors, taking whole blocks of leading rows from the dataset's prefix sums
 models with one product rows.features @ [W_u | W_r]: each model's argmax
 accuracy and squared residuals come from its own half of the score rows.
 oracle_retrain, params_gap and mia_gap share its private helpers, so each
-metric has one definition; the accuracy gaps have no public function of
-their own.
+metric has one definition: both gap_report and mia_gap take the row-set
+gaps from _row_gaps; the accuracy gaps have no public function of their own.
 """
 
 from __future__ import annotations
@@ -215,19 +215,24 @@ def mia_gap(
         raise InputError("mia_gap requires a non-empty forgotten set")
     if len(retained) == 0 or len(test_rows) == 0:
         raise InputError("mia_gap requires non-empty retained and test sets")
-    updated, reference = zip(
-        *(_scored(rows, unlearned, retrained) for rows in (retained, test_rows, forgotten))
-    )
-    return _membership_gap([r for _, r in updated], [r for _, r in reference])
+    return _row_gaps(unlearned, retrained, [retained, test_rows, forgotten])[1]
 
 
-def _membership_gap(unlearned_residuals, retrained_residuals) -> float:
-    """mia_gap from each model's (retained, test, forgotten) residual scores."""
+def _row_gaps(unlearned: AnalyticModel, retrained: AnalyticModel, row_sets: list):
+    """(accuracy gap per row set, membership gap) between the two models on
+    `row_sets`, [retained, test] or [retained, test, forgotten], each scored
+    once for both models (_scored).  The membership gap is mia_gap's, as a
+    fraction, and 0.0 without forgotten rows."""
+    updated, reference = zip(*(_scored(rows, unlearned, retrained) for rows in row_sets))
+    accuracy = [abs(a - b) for (a, _), (b, _) in zip(updated, reference)]
+    if len(row_sets) < 3:
+        return accuracy, 0.0
 
-    def member_rate(retained, test, forgotten) -> float:
+    def member_rate(scored) -> float:
+        retained, test, forgotten = (residuals for _, residuals in scored)
         return float(np.mean(forgotten <= fit_member_threshold(retained, test)))
 
-    return abs(member_rate(*unlearned_residuals) - member_rate(*retrained_residuals))
+    return accuracy, abs(member_rate(updated) - member_rate(reference))
 
 
 @dataclass(frozen=True)
@@ -292,24 +297,11 @@ def gap_report(
     if len(test_rows) == 0:
         raise InputError("a gap report needs at least one test row")
     retrained = _oracle(dataset, retained, unlearned.gamma)
-    delta_params = params_gap(unlearned, retrained)
     row_sets = [retained, test_rows] + ([] if forgotten is None else [forgotten])
-    # (accuracy, residual scores) per row set: retained, test[, forgotten]
-    updated, reference = zip(
-        *(_scored(rows, unlearned, retrained) for rows in row_sets)
-    )
-    delta_retain, delta_test, *delta_forget = [
-        abs(a - b) for (a, _), (b, _) in zip(updated, reference)
-    ]
-    if not delta_forget:
-        return GapReport(
-            request_index, delta_params, delta_retain, 0.0, delta_test, 0.0,
-            no_forgotten=True,
-        )
-    delta_mia = 100.0 * _membership_gap(
-        [r for _, r in updated], [r for _, r in reference]
-    )
+    accuracy, membership = _row_gaps(unlearned, retrained, row_sets)
+    # delta_forget is 0 without forgotten rows
+    delta_retain, delta_test, delta_forget = (accuracy + [0.0])[:3]
     return GapReport(
-        request_index, delta_params, delta_retain, delta_forget[0], delta_test,
-        delta_mia,
+        request_index, params_gap(unlearned, retrained), delta_retain, delta_forget,
+        delta_test, 100.0 * membership, no_forgotten=forgotten is None,
     )

@@ -1,5 +1,8 @@
 import argparse
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -543,3 +546,28 @@ def test_mutated_state_exits_2_under_verify_and_resume(tmp_path, small_run, caps
             code = run_cli(*argv)
             err = capsys.readouterr().err
             assert code == 2 and err.startswith("error: "), (i, err)
+
+
+def test_python_m_ridgeforget_runs_main_and_exits_with_its_code(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ridgeforget", *map(str, argv)],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+
+    data = tmp_path / "data.csv"
+    made = run("gen-data", "--classes", 2, "--per-class", 5, "--input-dim", 3, "--out", data)
+    assert made.returncode == 0, made.stderr
+    assert load_csv(data).class_count == 2
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id,label,x0\n0,zero,1.0\n", encoding="utf-8")
+    failed = run("run", "--data", bad)
+    assert failed.returncode == 1 and failed.stderr.startswith("error: ")
+    corrupt = tmp_path / "corrupt.state"
+    corrupt.write_bytes(b"NOPE" + bytes(32))
+    refused = run("verify", "--state", corrupt, "--data", data, "--test-data", data)
+    assert refused.returncode == 2 and "not a ridgeforget state file" in refused.stderr

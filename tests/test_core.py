@@ -64,6 +64,13 @@ def test_tracking_rejects_nan_below_the_diagonal():
         TrackingMatrix(bad, 1.0)
 
 
+def test_matrices_must_be_two_dimensional_and_tracking_square():
+    with pytest.raises(ContractViolation, match="weights must be a 2-D array, got ndim=1"):
+        AnalyticModel(np.zeros(3), 1.0)
+    with pytest.raises(ContractViolation, match=r"must be square, got \(3, 2\)"):
+        TrackingMatrix(np.zeros((2, 3)), 1.0)
+
+
 def test_tracking_fresh_is_scaled_identity():
     tracking = TrackingMatrix.fresh(3, 0.5)
     assert np.array_equal(tracking.matrix, np.eye(3) * 2.0)
@@ -175,8 +182,12 @@ def test_blas_runs_one_thread_outside_joint_fit(monkeypatch):
         return dsyrk(*args, **kwargs)
 
     monkeypatch.setattr(core.blas, "dsyrk", observed)
-    joint_fit(rand_batch(np.random.default_rng(5), 40, 6, 3), 0.5)
-    assert seen[0] == host  # the Gram
+    rng = np.random.default_rng(5)
+    # the Gram's work rows d^2: 1024 x 64 is at the bound, 40 x 6 below it
+    assert 1024 * 64**2 >= core._THREADED_WORK > 40 * 6**2
+    joint_fit(rand_batch(rng, 1024, 64, 3), 0.5)
+    joint_fit(rand_batch(rng, 40, 6, 3), 0.5)
+    assert seen == [host, [1] * len(copies)]
     assert [get() for get, _, _ in copies] == [1] * len(copies)
 
     def failing(*args, **kwargs):
@@ -184,28 +195,71 @@ def test_blas_runs_one_thread_outside_joint_fit(monkeypatch):
 
     monkeypatch.setattr(core.blas, "dsyrk", failing)
     with pytest.raises(MemoryError):
-        joint_fit(rand_batch(np.random.default_rng(5), 40, 6, 3), 0.5)
+        joint_fit(rand_batch(rng, 1024, 64, 3), 0.5)
     assert [get() for get, _, _ in copies] == [1] * len(copies)
 
 
 def test_joint_fit_inverts_threaded_from_the_update_work_bound(monkeypatch):
+    # each kernel of the fit runs threaded by the work of its own product
     copies = core._OPENBLAS
     if not copies:
         pytest.skip("no bundled OpenBLAS copy is loaded")
     host = [count for _, _, count in copies]
     seen = []
-    dpotri = core.lapack.dpotri
 
-    def observed(*args, **kwargs):
-        seen.append([get() for get, _, _ in copies])
-        return dpotri(*args, **kwargs)
+    def observe(module, name):
+        kernel = getattr(module, name)
 
-    monkeypatch.setattr(core.lapack, "dpotri", observed)
+        def observed(*args, **kwargs):
+            seen.append((name, [get() for get, _, _ in copies]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, observed)
+
+    for name in ("dgemm", "dsyrk"):
+        observe(core.blas, name)
+    for name in ("dpotrf", "dpotrs", "dpotri"):
+        observe(core.lapack, name)
     rng = np.random.default_rng(13)
-    for d in (6, 64, 192):
-        joint_fit(rand_batch(rng, 2 * d, d, 3), 0.5)
-    assert seen == [[1] * len(copies), [1] * len(copies), host]
-    assert [get() for get, _, _ in copies] == [1] * len(copies)
+    covered = {}
+    for n, d, c in ((12, 6, 3), (128, 64, 3), (384, 192, 3), (1023, 64, 64), (1024, 64, 64)):
+        # F^T Y: n d c; the Gram: n d^2; its factor, solve and inverse: d^3
+        work = {"dgemm": n * d * c, "dsyrk": n * d * d}
+        work.update(dict.fromkeys(("dpotrf", "dpotrs", "dpotri"), d**3))
+        seen.clear()
+        joint_fit(rand_batch(rng, n, d, c), 0.5)
+        assert [name for name, _ in seen] == ["dgemm", "dsyrk", "dpotrf", "dpotrs", "dpotri"]
+        for name, counts in seen:
+            threaded = work[name] >= core._THREADED_WORK
+            covered.setdefault(name, set()).add(threaded)
+            assert counts == (host if threaded else [1] * len(copies)), (name, n, d, c)
+        assert [get() for get, _, _ in copies] == [1] * len(copies)
+    assert all(sides == {False, True} for sides in covered.values())
+
+
+def test_a_block_below_the_work_bound_makes_no_openblas_call(monkeypatch):
+    calls = []
+
+    def fake(index, count):
+        return (lambda: 1), (lambda n: calls.append((index, n))), count
+
+    monkeypatch.setattr(core, "_OPENBLAS", [fake(0, 1), fake(1, 3)])
+    with core._threads(core._THREADED_WORK - 1):
+        pass
+    rng = np.random.default_rng(17)
+    model, tracking = joint_fit(rand_batch(rng, 40, 6, 3), 0.5)
+    batch = rand_batch(rng, 5, 6, 3, id_start=40)
+    tracking, model = learn_update(tracking, model, batch)
+    tracking = unlearn_tracking(tracking, batch)
+    unlearn_model(model, tracking, batch)
+    assert calls == []
+    with core._threads(core._THREADED_WORK):
+        assert calls == [(0, 1), (1, 3)]
+    assert calls[2:] == [(0, 1), (1, 1)]
+    calls.clear()
+    with pytest.raises(MemoryError), core._threads(core._THREADED_WORK):
+        raise MemoryError("kernel")
+    assert calls == [(0, 1), (1, 3), (0, 1), (1, 1)]
 
 
 def _threaded_size(d=512):
@@ -438,6 +492,18 @@ def test_learn_rejects_gamma_mismatch():
     tracking = TrackingMatrix.fresh(3, 2.0)
     with pytest.raises(ContractViolation):
         learn_update(tracking, model, rand_batch(rng, 0, 3, 2))
+
+
+@pytest.mark.parametrize("kind", ["learn", "unlearn_model"])
+def test_requests_reject_a_batch_of_another_class_count(kind):
+    rng = np.random.default_rng(2)
+    model, tracking = joint_fit(rand_batch(rng, 5, 3, 2), 1.0)
+    batch = rand_batch(rng, 2, 3, 3, id_start=5)
+    with pytest.raises(ContractViolation, match="batch class count 3 does not match 2"):
+        if kind == "learn":
+            learn_update(tracking, model, batch)
+        else:
+            unlearn_model(model, tracking, batch)
 
 
 # --------------------------------------------------------- unlearn_tracking

@@ -103,6 +103,18 @@ def test_bad_nonlinearity_rejected():
         FeatureExtractor.from_seed(1, 3, 4, nonlinearity="tanh")
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: FeatureExtractor.from_seed(1, 0, 4), "input_dim must be positive, got 0"),
+     (lambda: FeatureExtractor(1, 3, 4, "relu", np.zeros((4, 3))),
+      r"projection must be 3x4, got \(4, 3\)")],
+    ids=["no-input-columns", "projection-of-another-shape"],
+)
+def test_extractor_rejects_a_bad_recipe(build, message):
+    with pytest.raises(ContractViolation, match=message):
+        build()
+
+
 # -------------------------------------------------------------- synthetic
 
 
@@ -311,12 +323,12 @@ _NAN_ROWS = np.where(_ROWS == 2.0, np.nan, _ROWS)  # row 1 is not finite
 _ONE_HOTS = np.eye(2)[[0, 1, 0]]
 
 
-def _raw(ids=(0, 1, 2), labels=(0, 1, 0)):
-    return RawDataset(ids, _ROWS, labels, 2)
+def _raw(ids=(0, 1, 2), labels=(0, 1, 0), class_count=2):
+    return RawDataset(ids, _ROWS, labels, class_count)
 
 
-def _encoded(ids=(0, 1, 2), features=_ROWS, labels=(0, 1, 0)):
-    return EncodedDataset(ids, features, labels, 2)
+def _encoded(ids=(0, 1, 2), features=_ROWS, labels=(0, 1, 0), class_count=2):
+    return EncodedDataset(ids, features, labels, class_count)
 
 
 def _batch(ids=(0, 1, 2), features=_ROWS):
@@ -354,6 +366,20 @@ _SHARED_BAD_ROWS = {
         )
         for build in (_raw, _encoded)
         for name, label in (("label-out-of-range", 2), ("negative-label", -1))
+    ]
+    + [
+        pytest.param(
+            build, {"class_count": 2.5}, ContractViolation,
+            "class_count must be an integer >= 0", id=f"{build.__name__[1:]}-class-count",
+        )
+        for build in (_raw, _encoded)
+    ]
+    + [
+        pytest.param(
+            build, {"features": _ROWS[0]}, ContractViolation,
+            "features must be a 2-D array, got ndim=1", id=f"{build.__name__[1:]}-1-d",
+        )
+        for build in (_encoded, _batch)
     ],
 )
 def test_every_row_container_rejects_bad_rows(build, kwargs, error, message):
@@ -389,6 +415,13 @@ def test_raw_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded.inputs, raw.inputs)
     assert np.array_equal(loaded.labels, raw.labels)
     assert np.array_equal(loaded.sample_ids, raw.sample_ids)
+
+
+def test_write_csv_rejects_other_row_containers(tmp_path):
+    path = tmp_path / "batch.csv"
+    with pytest.raises(ContractViolation, match="cannot write FeatureBatch as CSV"):
+        write_csv(path, _batch())
+    assert not path.exists()
 
 
 def test_feature_csv_round_trip_is_exact(tmp_path):

@@ -12,6 +12,7 @@ from ridgeforget import (
     EncodedDataset,
     EngineState,
     FeatureBatch,
+    FeatureExtractor,
     InputError,
     RequestStream,
     RunAbortedError,
@@ -100,6 +101,12 @@ def test_more_forget_requests_than_forget_rows_rejected():
         build_stream(dataset, 2, 3, 4, seed=0)
     with pytest.raises(InputError, match="forget_requests 4 exceeds forget_total 3"):
         build_forget_stream(dataset, set(dataset.sample_ids.tolist()), 3, 4, seed=0)
+
+
+def test_fewer_than_one_forget_request_rejected():
+    dataset = make_dataset(np.random.default_rng(0), 10, 4, 2)
+    with pytest.raises(InputError, match="forget_requests must be >= 1, got 0"):
+        build_stream(dataset, 2, 5, 0, seed=5)
 
 
 def test_more_learn_chunks_than_rows_rejected():
@@ -274,14 +281,17 @@ def test_aborted_run_leaves_state_at_last_completed_request():
 
 
 @pytest.mark.parametrize(
-    "tracking, message",
-    [(TrackingMatrix.fresh(3, 0.5), "gamma"), (TrackingMatrix.fresh(4, 1.0), "dim")],
-    ids=["gamma", "feature-dim"],
+    "tracking, extractor, message",
+    [(TrackingMatrix.fresh(3, 0.5), None, "gamma"),
+     (TrackingMatrix.fresh(4, 1.0), None, "dim"),
+     (TrackingMatrix.fresh(3, 1.0), FeatureExtractor.from_seed(0, 2, 4),
+      "extractor feature dim 4 does not match model dim 3")],
+    ids=["gamma", "feature-dim", "extractor-dim"],
 )
-def test_engine_state_rejects_mismatched_pair(tracking, message):
+def test_engine_state_rejects_mismatched_pair(tracking, extractor, message):
     model = AnalyticModel(np.zeros((3, 2)), 1.0)
     with pytest.raises(ContractViolation, match=message):
-        EngineState(model, tracking, SampleLedger())
+        EngineState(model, tracking, SampleLedger(), extractor)
 
 
 @pytest.mark.parametrize(
@@ -313,6 +323,8 @@ def test_fresh_state_checks_before_allocating(feature_dim, class_count, gamma, m
 def test_verification_needs_dataset_and_test_rows():
     with pytest.raises(InputError):
         run_stream(RequestStream((), ()), EngineState.fresh(2, 2, 1.0), verify_every=1)
+    with pytest.raises(InputError, match="verify_every must be >= 0, got -1"):
+        run_stream(RequestStream((), ()), EngineState.fresh(2, 2, 1.0), verify_every=-1)
 
 
 @pytest.mark.parametrize(
@@ -429,6 +441,26 @@ def test_verified_run_without_a_row_fails_before_any_request(resumed):
         ContractViolation, match=r"^ledger references ids missing from dataset: \[0\]$"
     ):
         run_stream(stream, state, verify_every=1, dataset=lacking, test_rows=test_rows)
+    _assert_state_is(state, before)
+
+
+@pytest.mark.parametrize(
+    "rows, d_f, d_c, message",
+    [("test_rows", 5, 3, "feature dim 5 does not match 4"),
+     ("test_rows", 4, 2, "class count 2 does not match 3"),
+     ("dataset", 5, 3, "feature dim 5 does not match 4")],
+    ids=["test-rows-feature-dim", "test-rows-class-count", "dataset-feature-dim"],
+)
+def test_verification_rows_of_another_shape_fail_before_any_request(rows, d_f, d_c, message):
+    rng = np.random.default_rng(67)
+    dataset = make_dataset(rng, 40, 4, 3)
+    given = {"dataset": dataset, "test_rows": make_dataset(rng, 10, 4, 3, id_start=100)}
+    ids = given[rows].sample_ids
+    given[rows] = make_dataset(rng, len(ids), d_f, d_c, id_start=int(ids[0]))
+    state = EngineState.fresh(4, 3, 1.0)
+    before = _state_arrays(state)
+    with pytest.raises(ContractViolation, match=message):
+        run_stream(build_stream(dataset, 2, 5, 1, seed=3), state, verify_every=1, **given)
     _assert_state_is(state, before)
 
 

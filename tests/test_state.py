@@ -135,45 +135,36 @@ def test_unknown_version_is_version_error(tmp_path, version):
         load_state(future)
 
 
-@pytest.mark.parametrize(
-    "edit, indent",
-    [(lambda h: h["extractor"].pop("input_dim"), None),
-     (lambda h: h.update(extractor=5), None),
-     (lambda h: h["extractor"].update(nonlinearity="relx"), None),
-     (lambda h: h["extractor"].update(seed=-1), None),
-     (lambda h: h.update(gamma=-1.0), None),
-     (lambda h: h["extractor"].update(feature_dim=7), None),
-     (lambda h: h["extractor"].update(input_dim=10**15), None),
-     (lambda h: h.update(checksum_algorithm="md5"), None),
-     (lambda h: None, 1),
-     # the payload's ids stay put: the counts say which are learned
-     (lambda h: h.update(learned_count=66, forgotten_count=0), None),
-     (lambda h: h.update(learned_count=51, forgotten_count=15), None),
-     (lambda h: h.update(learned_count=-1, forgotten_count=67), None),
-     # valid values of another state: only the checksum tells
-     (lambda h: h.update(gamma=0.031), None),
-     (lambda h: h["extractor"].update(seed=int("1" + str(h["extractor"]["seed"]))), None)],
-    ids=["extractor-without-input-dim", "extractor-not-an-object",
-         "unknown-nonlinearity", "negative-extractor-seed", "negative-gamma",
-         "extractor-dim-off-the-model", "extractor-input-dim-over-bound",
-         "unknown-checksum-algorithm",
-         "header-in-another-json-form",
-         "forgotten-ids-counted-as-learned", "one-forgotten-id-counted-as-learned",
-         "negative-id-count", "gamma-replaced", "extractor-seed-digit-added"],
-)
-def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, indent):
-    _, _, state = run_to_state()
-    path = tmp_path / "full.state"
-    save_state(state, path)
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8 : 8 + header_len])
-    edit(header)
-    new_header = json.dumps(header, sort_keys=True, indent=indent).encode()
-    path.write_bytes(
-        MAGIC + struct.pack("<I", len(new_header)) + new_header + blob[8 + header_len :]
-    )
-    with pytest.raises(IntegrityError):
+_HEADER_EDITS = [
+    ("extractor-without-input-dim", lambda h: h["extractor"].pop("input_dim"), None),
+    ("extractor-not-an-object", lambda h: h.update(extractor=5), None),
+    ("unknown-nonlinearity", lambda h: h["extractor"].update(nonlinearity="relx"), None),
+    ("negative-extractor-seed", lambda h: h["extractor"].update(seed=-1), None),
+    ("negative-gamma", lambda h: h.update(gamma=-1.0), None),
+    ("extractor-dim-off-the-model", lambda h: h["extractor"].update(feature_dim=7), None),
+    ("extractor-input-dim-over-bound",
+     lambda h: h["extractor"].update(input_dim=10**15), None),
+    ("unknown-checksum-algorithm", lambda h: h.update(checksum_algorithm="md5"), None),
+    ("header-in-another-json-form", lambda h: None, 1),
+    # the payload's ids stay put: the counts say which are learned
+    ("forgotten-ids-counted-as-learned",
+     lambda h: h.update(learned_count=66, forgotten_count=0), None),
+    ("one-forgotten-id-counted-as-learned",
+     lambda h: h.update(learned_count=51, forgotten_count=15), None),
+    ("negative-id-count", lambda h: h.update(learned_count=-1, forgotten_count=67), None),
+    # valid values of another state: only the checksum tells
+    ("gamma-replaced", lambda h: h.update(gamma=0.031), None),
+    ("extractor-seed-digit-added",
+     lambda h: h["extractor"].update(seed=int("1" + str(h["extractor"]["seed"]))), None),
+]
+
+_CHECKSUM_ONLY = ("gamma-replaced", "extractor-seed-digit-added")
+
+
+def _assert_rejected(path, tmp_path, capsys):
+    """load_state raises IntegrityError, and verify exits 2 before anything
+    the header sizes is drawn; returns load_state's message."""
+    with pytest.raises(IntegrityError) as excinfo:
         load_state(path)
     # load_state is the first thing verify does, so the data need not exist
     absent = tmp_path / "absent.csv"
@@ -186,8 +177,65 @@ def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, i
         tracemalloc.stop()
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
-    # the header is checked before anything it sizes is drawn
     assert peak < 1 << 23
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "edit, indent, resign",
+    [pytest.param(edit, indent, False, id=name) for name, edit, indent in _HEADER_EDITS]
+    # re-signed, an edit reaches the checks behind the checksum
+    + [pytest.param(edit, indent, True, id=name + "-resigned")
+       for name, edit, indent in _HEADER_EDITS if name not in _CHECKSUM_ONLY],
+)
+def test_corrupt_header_is_integrity_error_and_exits_2(tmp_path, capsys, edit, indent, resign):
+    _, _, state = run_to_state()
+    path = tmp_path / "full.state"
+    save_state(state, path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + header_len])
+    payload = blob[8 + header_len :]
+    edit(header)
+    if resign:
+        header.pop("checksum")
+        header["checksum"] = hashlib.sha256(
+            json.dumps(header, sort_keys=True).encode() + payload
+        ).hexdigest()
+    new_header = json.dumps(header, sort_keys=True, indent=indent).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(new_header)) + new_header + payload)
+    message = _assert_rejected(path, tmp_path, capsys)
+    assert not (resign and "checksum mismatch" in message)
+
+
+def _signed(header: dict, payload: bytes) -> bytes:
+    """A state file of `header` and `payload`, with a valid checksum."""
+    covered = json.dumps(header, sort_keys=True).encode("utf-8") + payload
+    header = dict(header, checksum=hashlib.sha256(covered).hexdigest())
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(raw)) + raw + payload
+
+
+@pytest.mark.parametrize(
+    "dims, learned",
+    [((0, 3), []), ((2, 0), []), ((2, 3), [-3])],
+    ids=["feature-dim-zero", "class-count-zero", "negative-learned-id"],
+)
+def test_signed_state_no_valid_save_writes_is_integrity_error(tmp_path, capsys, dims, learned):
+    d, c = dims
+    header = {
+        "format_version": 2, "gamma": 0.5, "feature_dim": d, "class_count": c,
+        "extractor": None, "learned_count": len(learned), "forgotten_count": 0,
+        "checksum_algorithm": "sha256",
+    }
+    payload = b"".join([
+        np.zeros((d, c), dtype="<f8").tobytes(),
+        (2.0 * np.eye(d)).astype("<f8").tobytes(),
+        np.array(learned, dtype="<i8").tobytes(),
+    ])
+    path = tmp_path / "hand.state"
+    path.write_bytes(_signed(header, payload))
+    assert "checksum" not in _assert_rejected(path, tmp_path, capsys)
 
 
 def _wide_state():
@@ -211,10 +259,7 @@ def _hand_built(state):
         "extractor": {"seed": 3, "input_dim": 4, "feature_dim": 512, "nonlinearity": "relu"},
         "learned_count": 600, "forgotten_count": 86, "checksum_algorithm": "sha256",
     }
-    covered = json.dumps(header, sort_keys=True).encode("utf-8") + payload
-    header["checksum"] = hashlib.sha256(covered).hexdigest()
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC + struct.pack("<I", len(raw)) + raw + payload
+    return _signed(header, payload)
 
 
 def test_save_writes_the_payload_without_copying_t(tmp_path):

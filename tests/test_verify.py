@@ -367,8 +367,25 @@ def test_mia_gap_requires_nonempty_sets():
     dataset = dataset_from_batch(batch, 2)
     ledger = SampleLedger(set(batch.sample_ids.tolist()))  # nothing forgotten
     model, _ = joint_fit(batch, 1.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="non-empty forgotten set"):
         mia_gap(model, model, dataset, ledger, dataset)
+    ledger.record_forget(batch.sample_ids[:2])
+    with pytest.raises(InputError, match="non-empty retained and test sets"):
+        mia_gap(model, model, dataset, ledger, dataset.subset([]))
+    ledger.record_forget(batch.sample_ids[2:])
+    with pytest.raises(InputError, match="non-empty retained and test sets"):
+        mia_gap(model, model, dataset, ledger, dataset)
+
+
+@pytest.mark.parametrize(
+    "deltas, message",
+    [((0.0, 1.0, 0.0, -1e-9, 0.0), "must be non-negative"),
+     ((0.0, 0.0, 100.5, 0.0, 0.0), "cannot exceed 100")],
+    ids=["negative-delta", "accuracy-gap-over-100"],
+)
+def test_gap_report_rejects_impossible_deltas(deltas, message):
+    with pytest.raises(ContractViolation, match=message):
+        verify.GapReport(3, *deltas)
 
 
 # --------------------------------------------------------------- gap_report
