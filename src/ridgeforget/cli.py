@@ -141,7 +141,7 @@ def _cmd_run(args) -> int:
     encoded = load_csv(args.data, check_raw_width=check_recipe)
     extractor = None
     if isinstance(encoded, RawDataset):  # the extractor comes from the run seed
-        extractor = FeatureExtractor.from_seed(
+        extractor = FeatureExtractor(
             seed, encoded.input_dim, args.feature_dim, args.nonlinearity
         )
         encoded = encode(extractor, encoded)

@@ -290,7 +290,8 @@ class TrackingMatrix:
     array `_lower`; the other holds values nothing reads, which may be
     non-finite (an earlier T, SYRK's zeros, or a primal update's fresh
     memory).  The full, exactly symmetric `matrix` is built from the lower
-    triangle on first read.
+    triangle on first read, for every T: the public constructor keeps one
+    triangle of its checked copy, so `matrix` survives a save and a load.
 
     The public constructor and joint_fit check every entry for finiteness;
     an update checks, in O(d m), the matrix its SYRK consumed (G^T, or M in
@@ -308,14 +309,15 @@ class TrackingMatrix:
     _update = None
 
     def __post_init__(self):
-        _set_fields(self, matrix=_as_matrix(self.matrix, "tracking matrix"))
-        self._seal(self.matrix.T, _check_gamma(self.gamma))
-        scale = max(float(np.linalg.norm(self.matrix)), 1e-300)
-        asym = float(np.linalg.norm(self.matrix - self.matrix.T)) / scale
+        matrix = _as_matrix(self.matrix, "tracking matrix")
+        self._seal(matrix.T, _check_gamma(self.gamma))
+        scale = max(float(np.linalg.norm(matrix)), 1e-300)
+        asym = float(np.linalg.norm(matrix - matrix.T)) / scale
         if asym > SYMMETRY_RTOL:
             raise ContractViolation(
                 f"tracking matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e}"
             )
+        object.__delattr__(self, "matrix")  # read back as the mirror of _lower
 
     @classmethod
     def _trusted(cls, lower, gamma: float, update=None, consumed=None) -> "TrackingMatrix":
@@ -340,7 +342,7 @@ class TrackingMatrix:
         _set_fields(self, _lower=lower, gamma=gamma)
 
     def __getattr__(self, name):
-        # reached only for attributes not yet set: `matrix` of a _trusted T
+        # reached only for attributes not yet set: `matrix` before its first read
         if name != "matrix":
             raise AttributeError(name)
         (matrix,) = self._row_blocks(len(self._lower))
@@ -550,10 +552,11 @@ def _weight_step(model: AnalyticModel, tracking: TrackingMatrix, batch: FeatureB
 
 def _normal_sums(features: np.ndarray, labels: np.ndarray, prior=None):
     """(F^T F in its lower triangle, F^T Y) over the rows, each added to a
-    copy of `prior`'s pair when one is given; `prior` is not written."""
+    copy of `prior`'s pair when one is given; `prior` is not written.  Every
+    Gram is formed here, so d is checked against MAX_FEATURE_DIM here."""
     gram, rhs = (None, None) if prior is None else prior
     beta = 0.0 if prior is None else 1.0
-    rows, d = features.shape
+    rows, d = len(features), _check_feature_dim(features.shape[1])
     # scipy's dgemm: numpy's took twice as long at N=10,000, d=1024
     with _threads(rows * d * labels.shape[1]):
         rhs = blas.dgemm(1.0, features.T, labels.T, beta=beta, c=rhs, trans_b=1)

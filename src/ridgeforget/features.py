@@ -2,8 +2,11 @@
 
 The extractor replaces a heavyweight pretrained backbone with a seeded
 Gaussian random projection (entries scaled by 1/sqrt(input_dim)) followed
-by an optional ReLU.  It is drawn once from its seed and never mutated, so
-feature extraction is a pure function of (seed, input).
+by an optional ReLU.  FeatureExtractor(seed, input_dim, feature_dim,
+nonlinearity) is its one constructor: the projection is drawn from the seed
+and never mutated, so feature extraction is a pure function of the recipe
+and the input, and an extractor is saved, compared and hashed as its recipe
+(RECIPE_FIELDS).
 
 Datasets come in two flavors: RawDataset (inputs not yet projected) and
 EncodedDataset (feature rows plus label indices, keyed by sample id, with
@@ -32,14 +35,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .core import (
-    MAX_CLASSES, MAX_FEATURE_DIM, FeatureBatch, _as_matrix, _check_feature_dim,
-    _check_rows, _check_seed, _normal_sums, _set_fields,
+    MAX_CLASSES, MAX_FEATURE_DIM, FeatureBatch, _as_matrix, _check_class_count,
+    _check_feature_dim, _check_rows, _check_seed, _normal_sums, _set_fields,
 )
 from .errors import ContractViolation, InputError
 
@@ -60,31 +64,36 @@ MAX_PROJECTION_VALUES = 2**24
 
 @dataclass(frozen=True)
 class FeatureExtractor:
-    """Seeded, frozen map from raw input vectors to feature vectors."""
+    """Seeded, frozen map from raw input vectors to feature vectors.
+
+    The recipe (seed, input_dim, feature_dim, nonlinearity) is all an
+    extractor is: the projection is drawn from the seed once the recipe is
+    checked, so extractors compare and hash by their recipe."""
 
     seed: int
     input_dim: int
     feature_dim: int
-    nonlinearity: str
-    projection: np.ndarray
+    nonlinearity: str = "relu"
+    projection: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._check_recipe(self.seed, self.input_dim, self.feature_dim, self.nonlinearity)
-        projection = np.array(self.projection, dtype=np.float64, order="C", copy=True)
-        if projection.shape != (self.input_dim, self.feature_dim):
-            raise ContractViolation(
-                f"projection must be {self.input_dim}x{self.feature_dim}, "
-                f"got {projection.shape}"
-            )
-        _set_fields(self, projection=projection)
+        seed, input_dim, feature_dim, nonlinearity = self._check_recipe(
+            self.seed, self.input_dim, self.feature_dim, self.nonlinearity
+        )
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        projection = rng.standard_normal((input_dim, feature_dim)) / math.sqrt(input_dim)
+        _set_fields(self, seed=seed, input_dim=input_dim, feature_dim=feature_dim,
+                    nonlinearity=nonlinearity, projection=projection)
 
     @staticmethod
     def _check_recipe(seed, input_dim, feature_dim, nonlinearity):
-        _check_seed(seed)
-        if input_dim <= 0:
-            raise ContractViolation(f"input_dim must be positive, got {input_dim}")
+        """The recipe with its numbers as Python ints, if it is valid."""
+        seed = _check_seed(seed)
+        if not (isinstance(input_dim, numbers.Integral) and input_dim > 0):
+            raise ContractViolation(f"input_dim must be positive, got {input_dim!r}")
         # Python ints: a numpy product could wrap around below the bound
-        if int(input_dim) * _check_feature_dim(feature_dim) > MAX_PROJECTION_VALUES:
+        input_dim, feature_dim = int(input_dim), _check_feature_dim(feature_dim)
+        if input_dim * feature_dim > MAX_PROJECTION_VALUES:
             raise ContractViolation(
                 f"input_dim {input_dim} x feature_dim {feature_dim} exceeds the "
                 f"{MAX_PROJECTION_VALUES} projection entries an extractor may hold"
@@ -93,23 +102,7 @@ class FeatureExtractor:
             raise ContractViolation(
                 f"nonlinearity must be one of {NONLINEARITIES}, got {nonlinearity!r}"
             )
-
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        input_dim: int,
-        feature_dim: int,
-        nonlinearity: str = "relu",
-    ) -> "FeatureExtractor":
-        """Draw the projection once from `seed` and freeze it; the recipe is
-        checked before anything is drawn."""
-        cls._check_recipe(seed, input_dim, feature_dim, nonlinearity)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        projection = rng.standard_normal((input_dim, feature_dim)) / math.sqrt(
-            input_dim
-        )
-        return cls(seed, input_dim, feature_dim, nonlinearity, projection)
+        return seed, input_dim, feature_dim, str(nonlinearity)
 
     def extract_rows(self, inputs) -> np.ndarray:
         """Feature rows G(inputs @ projection).  einsum's own loop, unlike a
@@ -131,6 +124,10 @@ class FeatureExtractor:
                 f"dataset input_dim {input_dim} does not match extractor "
                 f"input_dim {self.input_dim}"
             )
+
+
+# The fields of an extractor's recipe, which a state file stores.
+RECIPE_FIELDS = tuple(f.name for f in fields(FeatureExtractor) if f.init)
 
 
 @dataclass(frozen=True)
@@ -169,12 +166,9 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if self.class_count <= 0 or self.samples_per_class <= 0 or self.input_dim <= 0:
+        _check_class_count(self.class_count)
+        if self.samples_per_class <= 0 or self.input_dim <= 0:
             raise ContractViolation("all synthetic-spec counts must be positive")
-        if self.class_count > MAX_CLASSES:
-            raise ContractViolation(
-                f"class_count {self.class_count} must be at most {MAX_CLASSES}"
-            )
         rows = int(self.class_count) * int(self.samples_per_class)
         if rows * int(self.input_dim) > MAX_SYNTHETIC_VALUES:
             raise ContractViolation(

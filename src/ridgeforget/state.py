@@ -13,8 +13,10 @@ Layout (little-endian throughout):
                  and forgotten id sets (int64)
 
 Floats travel as raw 64-bit payload bytes, so load(save(state)) reproduces
-W, T (the symmetric matrix updates read, mirrored from its lower triangle),
-the ledger, and the extractor recipe bit-for-bit.  A bad magic, truncated
+W, T (tracking.matrix, mirrored from the lower triangle updates read), the
+ledger, and the extractor bit-for-bit, and saves to the same bytes: the
+header holds the extractor's recipe (features.RECIPE_FIELDS), from which
+FeatureExtractor draws the same projection.  A bad magic, truncated
 payload, checksum mismatch, a header in any other form than the one
 save_state writes, or a header value no valid state holds raises
 IntegrityError without exposing partial state; an unknown format_version
@@ -36,7 +38,7 @@ import numpy as np
 
 from .core import AnalyticModel, TrackingMatrix
 from .errors import ContractViolation, IntegrityError, VersionError
-from .features import FeatureExtractor
+from .features import RECIPE_FIELDS, FeatureExtractor
 from .harness import EngineState
 from .verify import SampleLedger
 
@@ -76,12 +78,7 @@ def save_state(state: EngineState, path) -> None:
 
     extractor = None
     if state.extractor is not None:
-        extractor = {
-            "seed": state.extractor.seed,
-            "input_dim": state.extractor.input_dim,
-            "feature_dim": state.extractor.feature_dim,
-            "nonlinearity": state.extractor.nonlinearity,
-        }
+        extractor = {name: getattr(state.extractor, name) for name in RECIPE_FIELDS}
     header = {
         "format_version": FORMAT_VERSION,
         "gamma": state.gamma,
@@ -186,16 +183,11 @@ def load_state(path) -> EngineState:
             raise IntegrityError(f"{path}: negative sample id {learned[0]}")
         extractor = None
         if extractor_info is not None:
-            extractor = FeatureExtractor.from_seed(
-                int(extractor_info["seed"]),
-                int(extractor_info["input_dim"]),
-                int(extractor_info["feature_dim"]),
-                str(extractor_info["nonlinearity"]),
-            )
+            extractor = FeatureExtractor(**{k: extractor_info[k] for k in RECIPE_FIELDS})
         return EngineState(
             AnalyticModel(weights, gamma),
             TrackingMatrix(tracking, gamma),
-            SampleLedger(set(learned.tolist()), set(forgotten.tolist())),
+            SampleLedger(learned, forgotten),
             extractor,
         )
     except (KeyError, TypeError, ValueError, OverflowError, ContractViolation) as exc:

@@ -6,11 +6,12 @@ that reference: normalized weight distance, accuracy gaps on the retained /
 forgotten / test rows, and a membership-inference gap built from a
 residual-threshold classifier.  Exact removal drives all of them to zero.
 
-gap_report gathers the retained rows and the forgotten rows with one
-subset_by_ids each, so every learned id is located once.  It refits the
-oracle from the retained feature rows, never from T, W or an update's
-factors, taking whole blocks of leading rows from the dataset's prefix sums
-(see _oracle).  It scores each row set (retained, test, forgotten) for both
+gap_report and mia_gap first check the dataset and test rows against each
+model's dimensions.  gap_report gathers the retained rows and the forgotten
+rows with one subset_by_ids each, so every learned id is located once.  It
+refits the oracle from the retained feature rows, never from T, W or an
+update's factors, taking whole blocks of leading rows from the dataset's
+prefix sums (see _oracle).  It scores each row set (retained, test, forgotten) for both
 models with one product rows.features @ [W_u | W_r]: each model's argmax
 accuracy and squared residuals come from its own half of the score rows.
 oracle_retrain, params_gap and mia_gap share its private helpers, so each
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AnalyticModel, _normal_sums, _ridge_solve, joint_fit
+from .core import AnalyticModel, _check_batch_dims, _normal_sums, _ridge_solve, joint_fit
 from .core import predict  # noqa: F401  kept: perfbench/tracing.py patches verify.predict
 from .errors import ContractViolation, InputError
 from .features import EncodedDataset
@@ -150,12 +151,7 @@ def _scored(rows: EncodedDataset, unlearned: AnalyticModel, retrained: AnalyticM
     read its own half of every score row."""
     if len(rows) == 0:
         raise InputError("accuracy over an empty row set is undefined")
-    n, d, c = len(rows), rows.feature_dim, rows.class_count
-    for model in (unlearned, retrained):
-        if model.weights.shape != (d, c):
-            raise ContractViolation(
-                f"weights must be {d} x {c} for these rows, got {model.weights.shape}"
-            )
+    n, c = len(rows), rows.class_count
     weights = np.hstack([unlearned.weights, retrained.weights])
     scores = (rows.features @ weights).reshape(n, 2, c)
     hits = np.argmax(scores, axis=2) == rows.label_indices[:, None]
@@ -210,6 +206,9 @@ def mia_gap(
     rows, and record the member-rate.  Returns the absolute rate
     difference between the two models.
     """
+    for model in (unlearned, retrained):  # before any row is gathered
+        for rows in (dataset, test_rows):
+            _check_batch_dims(rows, model.feature_dim, model.class_count)
     retained, forgotten = _ledger_rows(dataset, ledger)
     if forgotten is None:
         raise InputError("mia_gap requires a non-empty forgotten set")
@@ -288,6 +287,8 @@ def gap_report(
     rounding, bit for bit when no whole prefix-sum block is retained.  A
     ledger that retains no row, or an empty test set, is an InputError
     naming the cause."""
+    for rows in (dataset, test_rows):  # before any row is gathered or fitted
+        _check_batch_dims(rows, unlearned.feature_dim, unlearned.class_count)
     retained, forgotten = _ledger_rows(dataset, ledger)
     if len(retained) == 0:
         raise InputError(

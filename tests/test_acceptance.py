@@ -63,7 +63,7 @@ def desk_extractor(seed):
             1, np.uint64
         )[0]
     )
-    return FeatureExtractor.from_seed(derived, DESK_INPUT_DIM, DESK_FEATURE_DIM)
+    return FeatureExtractor(derived, DESK_INPUT_DIM, DESK_FEATURE_DIM)
 
 
 def desk_data(seed):

@@ -305,8 +305,8 @@ def test_gen_data_is_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(("--classes", 10**15), "class_count 1000000000000000 must be at most 65536"),
-     (("--classes", 65537), "class_count 65537 must be at most 65536"),
+    [(("--classes", 10**15), "class_count must lie in [1, 65536], got 1000000000000000"),
+     (("--classes", 65537), "class_count must lie in [1, 65536], got 65537"),
      (("--per-class", 0), "counts must be positive"),
      (("--input-dim", -1), "counts must be positive"),
      (("--per-class", 10**8), "exceed the 16777216 input values"),

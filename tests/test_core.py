@@ -155,6 +155,19 @@ def test_joint_fit_holds_one_d_by_d_matrix():
     assert rel_fro(fitted[1].matrix, gram_inverse_oracle(batch.features, 1e-3)) <= 1e-10
 
 
+def test_joint_fit_rejects_a_batch_too_wide_before_its_gram():
+    d = core.MAX_FEATURE_DIM + 1
+    batch = FeatureBatch(np.ones((1, d)), [[1.0]], [0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation, match="feature_dim must lie in"):
+            joint_fit(batch, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d * d // 1000  # one d x d Gram is 134 MB
+
+
 def test_joint_fit_rejects_bad_gamma_and_nonfinite():
     batch = rand_batch(np.random.default_rng(1), 3, 2, 2)
     with pytest.raises(ContractViolation):

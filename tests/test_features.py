@@ -28,31 +28,45 @@ from ridgeforget import features
 
 
 def test_extract_zero_input_relu_is_zero():
-    extractor = FeatureExtractor.from_seed(1, 5, 8)
+    extractor = FeatureExtractor(1, 5, 8)
     assert np.array_equal(extractor.extract_rows(np.zeros((1, 5))), np.zeros((1, 8)))
 
 
-def test_identity_projection_identity_nonlinearity_is_passthrough():
-    extractor = FeatureExtractor(0, 4, 4, "identity", np.eye(4))
-    x = np.array([-1.5, 0.0, 2.0, 3.5])
-    assert np.array_equal(extractor.extract_rows([x])[0], x)
+def test_relu_features_are_the_identity_features_clipped_at_zero():
+    x = np.random.default_rng(3).standard_normal((20, 5))
+    relu = FeatureExtractor(8, 5, 9).extract_rows(x)
+    identity = FeatureExtractor(8, 5, 9, "identity").extract_rows(x)
+    assert (identity < 0).any() and (identity > 0).any()
+    assert np.array_equal(relu, np.maximum(identity, 0.0))
+
+
+def test_an_extractor_is_its_recipe():
+    a = FeatureExtractor(11, 5, 7)
+    b = FeatureExtractor(np.uint64(11), np.int64(5), np.int32(7), "relu")
+    assert a == b and hash(a) == hash(b)
+    assert [type(v) for v in (b.seed, b.input_dim, b.feature_dim)] == [int] * 3
+    assert np.array_equal(a.projection, b.projection)
+    assert a != FeatureExtractor(12, 5, 7)
+    assert a != FeatureExtractor(11, 5, 7, "identity")
+    with pytest.raises(TypeError):  # the projection is drawn, never given
+        FeatureExtractor(0, 4, 4, "identity", np.eye(4))
 
 
 def test_extract_rejects_length_mismatch():
-    extractor = FeatureExtractor.from_seed(1, 5, 8)
+    extractor = FeatureExtractor(1, 5, 8)
     with pytest.raises(ContractViolation):
         extractor.extract_rows(np.zeros((1, 4)))
 
 
 def test_same_seed_same_features_across_processes():
     x = np.linspace(-1.0, 1.0, 6)
-    extractor = FeatureExtractor.from_seed(42, 6, 9)
+    extractor = FeatureExtractor(42, 6, 9)
     local_hash = hashlib.sha256(extractor.extract_rows([x]).tobytes()).hexdigest()
     code = (
         "import hashlib, numpy as np\n"
         "from ridgeforget import FeatureExtractor\n"
         "x = np.linspace(-1.0, 1.0, 6)\n"
-        "e = FeatureExtractor.from_seed(42, 6, 9)\n"
+        "e = FeatureExtractor(42, 6, 9)\n"
         "print(hashlib.sha256(e.extract_rows([x]).tobytes()).hexdigest())\n"
     )
     result = subprocess.run(
@@ -62,7 +76,7 @@ def test_same_seed_same_features_across_processes():
 
 
 def test_projection_is_frozen():
-    extractor = FeatureExtractor.from_seed(7, 3, 4)
+    extractor = FeatureExtractor(7, 3, 4)
     with pytest.raises(ValueError):
         extractor.projection[0, 0] = 1.0
 
@@ -77,7 +91,7 @@ def test_extract_rows_matches_per_row_extract_bitwise():
         (rng.standard_normal((5, 30)).T, 7),  # transposed, non-contiguous
     ]
     for inputs, feature_dim in shapes:
-        extractor = FeatureExtractor.from_seed(3, inputs.shape[1], feature_dim)
+        extractor = FeatureExtractor(3, inputs.shape[1], feature_dim)
         stacked = extractor.extract_rows(inputs)
         for row in range(len(inputs)):
             alone = extractor.extract_rows(inputs[row : row + 1])
@@ -90,7 +104,7 @@ def test_projection_untouched_by_a_full_run():
     from ridgeforget import build_stream, run_stream
 
     spec = SyntheticSpec(3, 30, 5, 0.2, 55)
-    extractor = FeatureExtractor.from_seed(12, 5, 8)
+    extractor = FeatureExtractor(12, 5, 8)
     fingerprint = extractor.projection.copy()
     encoded = encode(extractor, generate_synthetic(spec))
     stream = build_stream(encoded, 3, 30, 3, seed=55)
@@ -100,15 +114,15 @@ def test_projection_untouched_by_a_full_run():
 
 def test_bad_nonlinearity_rejected():
     with pytest.raises(ContractViolation):
-        FeatureExtractor.from_seed(1, 3, 4, nonlinearity="tanh")
+        FeatureExtractor(1, 3, 4, nonlinearity="tanh")
 
 
 @pytest.mark.parametrize(
     "build, message",
-    [(lambda: FeatureExtractor.from_seed(1, 0, 4), "input_dim must be positive, got 0"),
-     (lambda: FeatureExtractor(1, 3, 4, "relu", np.zeros((4, 3))),
-      r"projection must be 3x4, got \(4, 3\)")],
-    ids=["no-input-columns", "projection-of-another-shape"],
+    [(lambda: FeatureExtractor(1, 0, 4), "input_dim must be positive, got 0"),
+     (lambda: FeatureExtractor(1, 3.0, 4), "input_dim must be positive, got 3.0"),
+     (lambda: FeatureExtractor(1, "3", 4), "input_dim must be positive, got '3'")],
+    ids=["no-input-columns", "float-input-dim", "text-input-dim"],
 )
 def test_extractor_rejects_a_bad_recipe(build, message):
     with pytest.raises(ContractViolation, match=message):
@@ -146,7 +160,7 @@ def test_synthetic_is_deterministic_and_draws_are_disjoint():
 
 def test_synthetic_classifier_generalizes_to_held_out_draw():
     spec = SyntheticSpec(4, 100, 8, 0.1, 7)
-    extractor = FeatureExtractor.from_seed(99, 8, 32)
+    extractor = FeatureExtractor(99, 8, 32)
     train = encode(extractor, generate_synthetic(spec, draw=0))
     test = encode(extractor, generate_synthetic(spec, draw=1))
     model, _ = joint_fit(train.to_batch(), 1e-3)
@@ -157,7 +171,7 @@ def test_synthetic_classifier_generalizes_to_held_out_draw():
 
 
 def test_encode_empty():
-    extractor = FeatureExtractor.from_seed(1, 3, 4)
+    extractor = FeatureExtractor(1, 3, 4)
     raw = RawDataset(np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0, np.int64), 2)
     encoded = encode(extractor, raw)
     assert len(encoded) == 0
@@ -165,7 +179,7 @@ def test_encode_empty():
 
 
 def test_encode_single_row_matches_extract():
-    extractor = FeatureExtractor.from_seed(4, 3, 5)
+    extractor = FeatureExtractor(4, 3, 5)
     raw = RawDataset([7], [[0.1, -0.3, 2.0]], [1], 3)
     encoded = encode(extractor, raw)
     alone = extractor.extract_rows([[0.1, -0.3, 2.0]])
@@ -175,7 +189,7 @@ def test_encode_single_row_matches_extract():
 
 def test_encode_rows_match_per_row_recomputation():
     rng = np.random.default_rng(21)
-    extractor = FeatureExtractor.from_seed(5, 6, 10)
+    extractor = FeatureExtractor(5, 6, 10)
     raw = RawDataset(
         np.arange(100), rng.standard_normal((100, 6)), rng.integers(0, 4, 100), 4
     )
@@ -187,7 +201,7 @@ def test_encode_rows_match_per_row_recomputation():
 
 def test_encode_is_within_rounding_of_the_blas_product():
     raw = generate_synthetic(SyntheticSpec(10, 400, 16, 0.1, 4))
-    extractor = FeatureExtractor.from_seed(9, 16, 64)
+    extractor = FeatureExtractor(9, 16, 64)
     features = encode(extractor, raw).features
     reference = np.maximum(raw.inputs @ extractor.projection, 0.0)
     assert np.linalg.norm(features - reference) <= 1e-13 * np.linalg.norm(reference)
@@ -210,20 +224,20 @@ def assert_same_encoded(a, b):
 def test_encode_is_referentially_transparent():
     spec = SyntheticSpec(3, 20, 5, 0.3, 77)
     raw = generate_synthetic(spec)
-    extractor_a = FeatureExtractor.from_seed(11, 5, 7)
-    extractor_b = FeatureExtractor.from_seed(11, 5, 7)
+    extractor_a = FeatureExtractor(11, 5, 7)
+    extractor_b = FeatureExtractor(11, 5, 7)
     assert_same_encoded(encode(extractor_a, raw), encode(extractor_b, raw))
 
 
 def test_dataset_one_hot_rows_always_sum_to_one():
     spec = SyntheticSpec(5, 8, 4, 0.2, 3)
-    encoded = encode(FeatureExtractor.from_seed(2, 4, 6), generate_synthetic(spec))
+    encoded = encode(FeatureExtractor(2, 4, 6), generate_synthetic(spec))
     assert np.array_equal(encoded.one_hots.sum(axis=1), np.ones(len(encoded)))
 
 
 def test_subset_is_read_only_and_equals_validated_construction():
     spec = SyntheticSpec(4, 6, 3, 0.2, 8)
-    encoded = encode(FeatureExtractor.from_seed(1, 3, 5), generate_synthetic(spec))
+    encoded = encode(FeatureExtractor(1, 3, 5), generate_synthetic(spec))
     rows = [17, 2, 9, 0]
     subset = encoded.subset(rows)
     checked = EncodedDataset(
@@ -399,7 +413,7 @@ def test_raw_csv_with_inf_fails_at_encode(tmp_path):
     path.write_text("id,label,x0,x1\n0,0,0.5,0.25\n3,1,inf,1.0\n", encoding="utf-8")
     raw = load_csv(path)
     with pytest.raises(InputError, match="sample id 3 contain non-finite"):
-        encode(FeatureExtractor.from_seed(1, 2, 6), raw)
+        encode(FeatureExtractor(1, 2, 6), raw)
 
 
 # -------------------------------------------------------------------- CSV
@@ -426,7 +440,7 @@ def test_write_csv_rejects_other_row_containers(tmp_path):
 
 def test_feature_csv_round_trip_is_exact(tmp_path):
     spec = SyntheticSpec(2, 6, 4, 0.4, 13)
-    encoded = encode(FeatureExtractor.from_seed(8, 4, 5), generate_synthetic(spec))
+    encoded = encode(FeatureExtractor(8, 4, 5), generate_synthetic(spec))
     path = tmp_path / "features.csv"
     write_csv(path, encoded)
     loaded = load_csv(path)

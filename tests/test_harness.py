@@ -284,7 +284,7 @@ def test_aborted_run_leaves_state_at_last_completed_request():
     "tracking, extractor, message",
     [(TrackingMatrix.fresh(3, 0.5), None, "gamma"),
      (TrackingMatrix.fresh(4, 1.0), None, "dim"),
-     (TrackingMatrix.fresh(3, 1.0), FeatureExtractor.from_seed(0, 2, 4),
+     (TrackingMatrix.fresh(3, 1.0), FeatureExtractor(0, 2, 4),
       "extractor feature dim 4 does not match model dim 3")],
     ids=["gamma", "feature-dim", "extractor-dim"],
 )

@@ -14,9 +14,11 @@ from ridgeforget import (
     IntegrityError,
     RequestStream,
     SampleLedger,
+    TrackingMatrix,
     VersionError,
     build_stream,
     joint_fit,
+    learn_update,
     load_state,
     run_stream,
     save_state,
@@ -33,7 +35,7 @@ def run_to_state(seed=0, forget_requests=4):
     dataset = make_dataset(rng, 50, 6, 3)
     stream = build_stream(dataset, 3, 16, forget_requests, seed=seed)
     _, state = run_stream(stream, fresh_state(stream, 1e-3))
-    state.extractor = FeatureExtractor.from_seed(seed, 4, 6)
+    state.extractor = FeatureExtractor(seed, 4, 6)
     return dataset, stream, state
 
 
@@ -59,6 +61,45 @@ def test_fresh_state_round_trip_is_bit_identical(tmp_path):
     twin = tmp_path / "fresh2.state"
     save_state(state, twin)
     assert path.read_bytes() == twin.read_bytes()
+
+
+def _built(how):
+    """An EngineState at d = 6, c = 3, built `how`."""
+    if how == "fresh":
+        return EngineState.fresh(6, 3, 0.5)
+    rng = np.random.default_rng(31)
+    base = rand_batch(rng, 30, 6, 3)
+    model, tracking = joint_fit(base, 1e-3)
+    ledger = SampleLedger(range(30), range(0, 30, 4))
+    extractor = FeatureExtractor(5, 4, 6)
+    if how == "inverse":
+        inverse = np.linalg.inv(base.features.T @ base.features + 1e-3 * np.eye(6))
+        assert not np.array_equal(inverse, inverse.T)  # rounding broke its symmetry
+        tracking = TrackingMatrix(inverse, 1e-3)
+    elif how in ("primal-update", "dual-update"):
+        rows = 2 if how == "primal-update" else 8  # m < d, m >= d
+        tracking, model = learn_update(
+            tracking, model, rand_batch(rng, rows, 6, 3, id_start=30)
+        )
+        ledger.record_learn(range(30, 30 + rows))
+    elif how == "numpy-recipe":
+        extractor = FeatureExtractor(np.uint64(5), np.int64(4), np.int32(6), np.str_("relu"))
+    return EngineState(model, tracking, ledger, extractor)
+
+
+@pytest.mark.parametrize(
+    "how", ["fresh", "joint-fit", "inverse", "primal-update", "dual-update", "numpy-recipe"]
+)
+def test_a_saved_state_loads_as_the_same_state(tmp_path, how):
+    state = _built(how)
+    path, again = tmp_path / "first.state", tmp_path / "again.state"
+    save_state(state, path)
+    loaded = load_state(path)
+    assert_states_equal(loaded, state)
+    assert np.array_equal(loaded.tracking.matrix, loaded.tracking.matrix.T)
+    assert loaded.extractor == state.extractor
+    save_state(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_round_trip_after_requests(tmp_path):
@@ -243,7 +284,7 @@ def _wide_state():
     model, tracking = joint_fit(rand_batch(rng, 600, 512, 3), 1e-3)
     return EngineState(model, tracking,
                        SampleLedger(set(range(600)), set(range(0, 600, 7))),
-                       FeatureExtractor.from_seed(3, 4, 512))
+                       FeatureExtractor(3, 4, 512))
 
 
 def _hand_built(state):

@@ -155,7 +155,7 @@ def test_oracle_rejects_unknown_ids():
 
 def test_accuracy_memorizing_model_scores_100():
     spec = SyntheticSpec(2, 5, 4, 0.05, 5)
-    encoded = encode(FeatureExtractor.from_seed(6, 4, 16), generate_synthetic(spec))
+    encoded = encode(FeatureExtractor(6, 4, 16), generate_synthetic(spec))
     model, _ = joint_fit(encoded.to_batch(), 1e-4)
     assert _scored(model, encoded)[0] == 100.0
 
@@ -327,8 +327,30 @@ def test_mia_gap_survives_identical_score_distributions():
 def test_mia_gap_rejects_a_model_of_another_shape():
     dataset, ledger, test_rows, _, retrained = _memorization_setup()
     wider = AnalyticModel(np.zeros((40, 3)), 1e-6)
-    with pytest.raises(ContractViolation, match=r"weights must be 40 x 2 .* \(40, 3\)"):
+    with pytest.raises(ContractViolation, match="batch class count 2 does not match 3"):
         mia_gap(wider, retrained, dataset, ledger, test_rows)
+
+
+def _unreachable(*args):
+    raise AssertionError("rows gathered or oracle fitted before the shape check")
+
+
+@pytest.mark.parametrize("wrong", ["model", "test-rows"])
+def test_gap_metrics_check_row_shapes_before_gathering_rows(monkeypatch, wrong):
+    dataset, ledger, test_rows, _, retrained = _memorization_setup()
+    model = retrained
+    if wrong == "model":
+        model, message = AnalyticModel(np.zeros((8, 2)), 1e-6), "feature dim 40 does not match 8"
+    else:
+        test_rows = dataset_from_batch(rand_batch(np.random.default_rng(3), 5, 40, 3), 3)
+        message = "batch class count 3 does not match 2"
+    monkeypatch.setattr(verify, "_ledger_rows", _unreachable)
+    monkeypatch.setattr(verify, "_oracle", _unreachable)
+    with pytest.raises(ContractViolation, match=message):
+        gap_report(model, dataset, ledger, test_rows, 0)
+    for pair in ((model, retrained), (retrained, model)):
+        with pytest.raises(ContractViolation, match=message):
+            mia_gap(*pair, dataset, ledger, test_rows)
 
 
 def test_fit_member_threshold_is_deterministic_under_ties():
